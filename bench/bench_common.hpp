@@ -6,6 +6,7 @@
 // profiling grid, making their artifacts interchangeable.
 #pragma once
 
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -195,6 +196,22 @@ class BenchObservability {
   std::unique_ptr<obs::Observer> observer_;
   std::unique_ptr<obs::Profiler> profiler_;
 };
+
+/// `--smoke`: run the bench's short CI configuration.
+inline bool parse_smoke_flag(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) return true;
+  }
+  return false;
+}
+
+/// `--json-out PATH`: where to write the summary JSON (empty = nowhere).
+inline std::string parse_json_out(int argc, char** argv) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--json-out") == 0) return argv[i + 1];
+  }
+  return {};
+}
 
 /// The standard managed-run options for the main evaluation scenario.
 inline exp::ManagedRunOptions bench_run_options() {

@@ -25,7 +25,6 @@
 //        profiler attributes >= 90% of the measured run wall time.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -34,29 +33,11 @@
 #include "bench_common.hpp"
 #include "exp/cluster.hpp"
 
-namespace {
-
-bool parse_smoke_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return true;
-  }
-  return false;
-}
-
-std::string parse_json_out(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0) return argv[i + 1];
-  }
-  return {};
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace amoeba;
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bool smoke = parse_smoke_flag(argc, argv);
-  const std::string json_out = parse_json_out(argc, argv);
+  const bool smoke = bench::parse_smoke_flag(argc, argv);
+  const std::string json_out = bench::parse_json_out(argc, argv);
   bench::BenchObservability observability(argc, argv);
   const auto cluster = bench::bench_cluster();
   const auto prof = bench::bench_profiling();

@@ -1,33 +1,22 @@
 #include "exp/callgraph.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <functional>
 #include <map>
-#include <memory>
-#include <sstream>
 #include <utility>
 
 #include "obs/json.hpp"
-#include "obs/profiler.hpp"
-#include "workload/meters.hpp"
 
 namespace amoeba::exp {
 
 namespace {
 
-/// Same auto-scaling rule as run_cluster: N monitors' combined probing
-/// stays a small, N-independent fraction of the node.
-double effective_probe_qps(double requested, std::size_t n_stages) {
-  if (requested > 0.0) return requested;
-  return std::min(workload::kMeterProbeQps,
-                  4.0 / static_cast<double>(n_stages));
-}
-
-std::string hash_hex(std::uint64_t h) {
-  std::ostringstream os;
-  os << "0x" << std::hex << h;
-  return os.str();
-}
+/// Budget renormalization tick (aware mode): the monitor sample period.
+constexpr double kRenormPeriodS = 5.0;
+/// Stage completions a renorm window needs before it moves the weight.
+constexpr std::size_t kRenormMinSamples = 12;
+/// Applied budgets >= this factor x the stage's ideal solo IaaS latency.
+constexpr double kFeasibilityFloorFactor = 1.25;
 
 /// One user query in flight across the DAG.
 struct InFlightQuery {
@@ -46,14 +35,6 @@ const char* to_string(BudgetMode m) noexcept {
   return "?";
 }
 
-const CallGraphStageResult* CallGraphRunResult::find(
-    const std::string& name) const {
-  for (const auto& s : stages) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
-}
-
 CallGraphRunResult run_callgraph(
     const workload::CallGraph& graph,
     const std::vector<core::ServiceArtifacts>& artifacts,
@@ -63,38 +44,8 @@ CallGraphRunResult run_callgraph(
   AMOEBA_EXPECTS_MSG(artifacts.size() == n,
                      "need one ServiceArtifacts per stage, canonical order");
   AMOEBA_EXPECTS_VALS(opt.e2e_qos_target_s > 0.0, opt.e2e_qos_target_s);
-  AMOEBA_EXPECTS(opt.period_s > 0.0 && opt.duration_days > 0.0);
-  AMOEBA_EXPECTS_MSG(opt.warmup_s >= cluster.iaas.vm_boot_s + 3.0,
-                     "warmup must cover the VM boot time");
-  AMOEBA_EXPECTS(opt.node_container_budget > 0);
-  AMOEBA_EXPECTS(opt.meter_reserve_containers >= 3);
-  AMOEBA_EXPECTS(opt.renorm_period_s > 0.0 && opt.renorm_min_samples >= 1);
-  AMOEBA_EXPECTS(opt.feasibility_floor_factor >= 1.0);
-
-  obs::ProfilerAttach prof_attach(opt.profiler);
-  AMOEBA_PROF_SCOPE(kHarness);
-  sim::Engine engine;
-  if (opt.profiler != nullptr) engine.set_profiler(opt.profiler);
-  sim::Rng rng(opt.seed);
-  serverless::ServerlessPlatform sp(engine, cluster.serverless, rng.fork(1));
-  iaas::IaasPlatform ip(engine, cluster.iaas, rng.fork(2));
-
-  std::unique_ptr<sim::FaultInjector> faults;
-  if (opt.faults.any()) {
-    faults = std::make_unique<sim::FaultInjector>(opt.faults, rng.fork(4));
-    sp.set_fault_injector(faults.get());
-    ip.set_fault_injector(faults.get());
-  }
-
-  // Meter reserve first (same rule as run_cluster): probing can never be
-  // starved by stage prewarms, and stages split what remains.
-  const int per_meter = std::max(1, opt.meter_reserve_containers / 3);
-  for (const auto kind : workload::kAllMeters) {
-    sp.register_function(workload::meter_profile(kind), per_meter);
-  }
-  const int stage_budget = opt.node_container_budget - 3 * per_meter;
-  AMOEBA_EXPECTS_MSG(stage_budget >= static_cast<int>(n),
-                     "container budget cannot cover every stage");
+  Node node(cluster, opt);
+  sim::Engine& engine = node.engine();
 
   // --- Budget decomposition -------------------------------------------
   // Every query crosses every stage, so each stage's provisioned peak is
@@ -108,67 +59,47 @@ CallGraphRunResult run_callgraph(
 
   // Initial weights: the content-determined ideal solo IaaS latency (what
   // the decomposer would converge to on an uncontended node).
+  const core::BudgetDecomposerConfig decomposer_cfg;
   std::vector<double> w0(n, 0.0);
   std::vector<double> floors(n, 0.0);
   for (std::size_t k = 0; k < n; ++k) {
     const auto& p = graph.stage(static_cast<int>(k)).profile;
     const double ideal =
         p.ideal_iaas_latency(cluster.iaas.disk_bps, cluster.iaas.net_bps);
-    w0[k] = std::max(ideal, opt.decomposer.min_weight_s);
-    floors[k] = opt.feasibility_floor_factor * ideal;
+    w0[k] = std::max(ideal, decomposer_cfg.min_weight_s);
+    floors[k] = kFeasibilityFloorFactor * ideal;
     AMOEBA_EXPECTS_MSG(floors[k] < t_e2e,
                        "stage cannot meet the end-to-end target alone: " +
                            graph.service_name(static_cast<int>(k)));
   }
-  core::BudgetDecomposer decomposer(graph, t_e2e, w0, opt.decomposer);
+  core::BudgetDecomposer decomposer(graph, t_e2e, w0, decomposer_cfg);
   const std::vector<double> raw0 =
       opt.budget_mode == BudgetMode::kEndToEndAware
           ? decomposer.budgets()
           : core::BudgetDecomposer::equal_split(graph, t_e2e);
-  std::vector<double> applied(n, 0.0);
+  std::vector<double> initial_budgets(n, 0.0);
   for (std::size_t k = 0; k < n; ++k) {
-    applied[k] = std::clamp(raw0[k], floors[k], t_e2e);
+    initial_budgets[k] = std::clamp(raw0[k], floors[k], t_e2e);
   }
-  const std::vector<double> initial_budgets = applied;
 
-  // --- Stage registration + admission arbitration ----------------------
+  // --- Stage admission + one AmoebaRuntime per stage ---------------------
   std::vector<workload::FunctionProfile> stage_profiles;
-  std::vector<iaas::VmSpec> vm_specs;
-  std::vector<int> asks;
   stage_profiles.reserve(n);
-  vm_specs.reserve(n);
-  asks.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
     workload::FunctionProfile p = graph.stage(static_cast<int>(k)).profile;
     p.name = graph.service_name(static_cast<int>(k));
     p.peak_load_qps = root_peak;
-    p.qos_target_s = applied[k];
-    vm_specs.push_back(just_enough_vm(p, cluster));
-    asks.push_back(std::max(
-        1, static_cast<int>(std::ceil(vm_specs.back().cores *
-                                      opt.n_max_core_factor))));
+    p.qos_target_s = initial_budgets[k];
     stage_profiles.push_back(std::move(p));
   }
-  const std::vector<int> grants =
-      core::split_container_budget(asks, stage_budget);
-
-  const double probe_qps = effective_probe_qps(opt.monitor_probe_qps, n);
-  const double duration = opt.warmup_s + opt.period_s * opt.duration_days;
-
-  // One AmoebaRuntime per stage, same rng fork discipline as run_cluster.
-  std::vector<std::unique_ptr<core::AmoebaRuntime>> runtimes;
-  runtimes.reserve(n);
+  workload::DiurnalTraceConfig trace_cfg = diurnal_for(
+      stage_profiles[static_cast<std::size_t>(graph.roots().front())],
+      opt.period_s);
+  trace_cfg.peak_qps = root_peak;
+  node.admit(std::move(stage_profiles), opt.node_container_budget,
+             opt.meter_reserve_containers);
   for (std::size_t k = 0; k < n; ++k) {
-    core::AmoebaConfig cfg =
-        opt.amoeba.has_value()
-            ? *opt.amoeba
-            : default_amoeba_config(DeploySystem::kAmoeba, -1.0);
-    if (!opt.amoeba.has_value()) {
-      // Stages are live co-tenants of one node: same tighter margins as
-      // the cluster default.
-      cfg.controller.to_serverless_margin = 0.50;
-      cfg.controller.to_iaas_margin = 0.70;
-    }
+    core::AmoebaConfig cfg = node.co_tenant_config();
     switch (graph.stage(static_cast<int>(k)).pin) {
       case workload::StagePin::kManaged:
         break;
@@ -186,16 +117,8 @@ CallGraphRunResult run_callgraph(
         cfg.controller.co_tenant_check = false;
         break;
     }
-    cfg.monitor.probe_qps = probe_qps;
     cfg.stage_id = static_cast<int>(k);
-    if (opt.observer != nullptr) cfg.observer = opt.observer;
-    cfg.fault_injector = faults.get();
-    auto runtime = std::make_unique<core::AmoebaRuntime>(
-        engine, sp, ip, calibration, cfg, rng.fork(1000 + k));
-    runtime->add_service(stage_profiles[k], vm_specs[k], artifacts[k],
-                         grants[k]);
-    runtime->start();
-    runtimes.push_back(std::move(runtime));
+    node.start_tenant(artifacts[k], calibration, cfg);
   }
 
   // --- Query propagation ----------------------------------------------
@@ -203,13 +126,12 @@ CallGraphRunResult run_callgraph(
   // stage k once all parents(k) finished it. The ledger counts every
   // entry/exit so conservation is checkable after the run.
   struct Flow {
-    Flow(const workload::CallGraph& g,
-         std::vector<std::unique_ptr<core::AmoebaRuntime>>& rts,
-         double warmup, obs::Observer* obs)
-        : graph(g), runtimes(rts), warmup_s(warmup), observer(obs) {}
+    Flow(const workload::CallGraph& g, Node& nd, double warmup,
+         obs::Observer* obs)
+        : graph(g), node(nd), warmup_s(warmup), observer(obs) {}
 
     const workload::CallGraph& graph;
-    std::vector<std::unique_ptr<core::AmoebaRuntime>>& runtimes;
+    Node& node;
     double warmup_s;
     obs::Observer* observer;
     std::uint64_t next_id = 0;
@@ -227,7 +149,7 @@ CallGraphRunResult run_callgraph(
 
     void enter(std::uint64_t id, int s) {
       ++submitted[static_cast<std::size_t>(s)];
-      runtimes[static_cast<std::size_t>(s)]->submit(
+      node.tenant(static_cast<std::size_t>(s)).submit(
           graph.service_name(s),
           [this, id, s](const workload::QueryRecord& rec) {
             on_stage_done(id, s, rec);
@@ -280,7 +202,7 @@ CallGraphRunResult run_callgraph(
       }
     }
   };
-  Flow flow(graph, runtimes, opt.warmup_s, opt.observer);
+  Flow flow(graph, node, opt.warmup_s, opt.observer);
   flow.submitted.assign(n, 0);
   flow.finished.assign(n, 0);
   flow.stage_latencies.resize(n);
@@ -291,8 +213,7 @@ CallGraphRunResult run_callgraph(
   sim::EventId renorm_event = sim::kNoEvent;
   std::function<void()> renorm = [&] {
     for (std::size_t k = 0; k < n; ++k) {
-      if (flow.renorm_window[k].size() >=
-          static_cast<std::size_t>(opt.renorm_min_samples)) {
+      if (flow.renorm_window[k].size() >= kRenormMinSamples) {
         decomposer.observe(static_cast<int>(k),
                            flow.renorm_window[k].quantile(0.95));
         flow.renorm_window[k].clear();
@@ -302,35 +223,29 @@ CallGraphRunResult run_callgraph(
     for (std::size_t k = 0; k < n; ++k) {
       const double target = std::clamp(b[k], floors[k], t_e2e);
       if (target != final_budgets[k]) {
-        runtimes[k]->set_qos_target(graph.service_name(static_cast<int>(k)),
-                                    target);
+        node.tenant(k).set_qos_target(
+            graph.service_name(static_cast<int>(k)), target);
         final_budgets[k] = target;
       }
     }
-    renorm_event = engine.schedule_in(opt.renorm_period_s, renorm);
+    renorm_event = engine.schedule_in(kRenormPeriodS, renorm);
   };
   if (opt.budget_mode == BudgetMode::kEndToEndAware) {
-    renorm_event = engine.schedule_in(opt.renorm_period_s, renorm);
+    renorm_event = engine.schedule_in(kRenormPeriodS, renorm);
   }
 
   // --- Load: one Poisson stream at the DAG roots -----------------------
-  workload::DiurnalTraceConfig trace_cfg = diurnal_for(
-      stage_profiles[static_cast<std::size_t>(graph.roots().front())],
-      opt.period_s);
-  trace_cfg.peak_qps = root_peak;
   workload::DiurnalTrace trace(trace_cfg, opt.seed ^ 0x51u);
   workload::PoissonLoadGenerator generator(
-      engine, rng.fork(2000), [&trace](double now) { return trace.rate(now); },
-      trace.max_rate(), [&flow, &engine] { flow.inject(engine.now()); });
-  const double load_start = std::min(cluster.iaas.vm_boot_s + 2.0,
-                                     std::max(opt.warmup_s - 1.0, 0.0));
-  engine.schedule(load_start, [&generator] { generator.start(); });
+      engine, node.rng().fork(2000),
+      [&trace](double now) { return trace.rate(now); }, trace.max_rate(),
+      [&flow, &engine] { flow.inject(engine.now()); });
+  engine.schedule(node.load_start_s(), [&generator] { generator.start(); });
 
-  engine.run_until(duration);
-
+  node.run();
   generator.stop();
   if (renorm_event != sim::kNoEvent) engine.cancel(renorm_event);
-  for (auto& rt : runtimes) rt->stop();
+  node.stop_tenants();
   if (flow.trace_on()) {
     // Close the spans of queries cut off mid-flight — bookkeeping only,
     // after the last simulated event.
@@ -345,17 +260,15 @@ CallGraphRunResult run_callgraph(
   CallGraphRunResult result;
   result.budget_mode = opt.budget_mode;
   result.e2e_qos_target_s = t_e2e;
-  result.duration_s = duration;
   result.e2e_latencies = flow.e2e_latencies;
   result.root_injected = flow.next_id;
   result.queries_completed = flow.completed;
   result.queries_unfinished = flow.live.size();
-  result.stages.reserve(n);
+  result.stages.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
-    const std::string& name = graph.service_name(static_cast<int>(k));
-    CallGraphStageResult st;
+    CallGraphStageResult& st = result.stages[k];
+    node.roll_up_tenant(k, st, result);
     st.stage = static_cast<int>(k);
-    st.name = name;
     st.label = graph.stage(static_cast<int>(k)).label;
     st.pin = graph.stage(static_cast<int>(k)).pin;
     st.initial_budget_s = initial_budgets[k];
@@ -363,34 +276,9 @@ CallGraphRunResult run_callgraph(
     st.latencies = flow.stage_latencies[k];
     st.submitted = flow.submitted[k];
     st.finished = flow.finished[k];
-    st.usage = runtimes[k]->accountant().usage(name, duration);
-    for (const auto& sw : runtimes[k]->switch_events()) {
-      if (sw.service == name) ++st.switches;
-    }
-    st.switch_aborts = runtimes[k]->execution_engine().switch_aborts();
-    st.switch_retries = runtimes[k]->execution_engine().switch_retries();
-    st.prewarm_denied = sp.stats(name).prewarm_denied;
-    st.n_max_asked = asks[k];
-    st.n_max_granted = grants[k];
-    result.stages_usage += st.usage;
-    result.prewarm_denied_total += st.prewarm_denied;
-    result.stages.push_back(std::move(st));
+    st.switches = node.tenant(k).switch_events().size();
   }
-  for (const auto kind : workload::kAllMeters) {
-    const std::string meter = workload::meter_profile(kind).name;
-    result.meter_usage.cpu_core_seconds += sp.cpu_core_seconds(meter);
-    result.meter_usage.memory_mb_seconds +=
-        sp.memory_mb_seconds(meter, duration);
-  }
-  for (const auto& fn : sp.function_names()) {
-    result.pool_memory_mb_seconds += sp.memory_mb_seconds(fn, duration);
-  }
-  result.peak_pool_containers = sp.pool().peak_total_containers();
-  result.peak_pool_memory_mb = sp.pool().peak_memory_in_use_mb();
-  result.pool_evictions = sp.pool().evictions();
-  if (faults) result.fault_counters = faults->counters();
-  result.trace_hash = engine.trace_hash();
-  result.events_executed = engine.executed();
+  node.roll_up(result);
 
   AMOEBA_ENSURES_VALS(result.root_injected ==
                           result.queries_completed + result.queries_unfinished,

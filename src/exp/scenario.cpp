@@ -1,56 +1,10 @@
 #include "exp/scenario.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <memory>
 #include <utility>
 
-#include "core/queueing.hpp"
-#include "obs/profiler.hpp"
-
 namespace amoeba::exp {
-
-ClusterConfig default_cluster() {
-  ClusterConfig c;
-  c.serverless.cores = 40.0;
-  c.serverless.pool_memory_mb = 32768.0;  // 128 containers at 256 MB
-  c.serverless.disk_bps = 2.0e9;
-  c.serverless.net_bps = 3.125e9;
-  c.serverless.container_core_cap = 1.0;
-  c.serverless.cpu_interference = 0.35;  // shared-LLC/membw degradation
-  c.serverless.io_efficiency = 0.85;     // overlay-fs / container IO tax
-  c.serverless.cold_start_mean_s = 1.0;
-  c.serverless.cold_start_cv = 0.25;
-  // The experiment day is compressed (600 s ≈ 24 h), so the keep-alive is
-  // compressed with it: 10 s here ≈ a 24-minute OpenWhisk-style TTL. Cold
-  // starts deliberately stay at real-world magnitude (1 s) — they are the
-  // adversary Eq. 7/8 defend against.
-  c.serverless.keep_alive_s = 10.0;
-  c.iaas.disk_bps = 2.0e9;
-  c.iaas.net_bps = 3.125e9;
-  c.iaas.vm_boot_s = 30.0;
-  c.seed = 42;
-  return c;
-}
-
-iaas::VmSpec just_enough_vm(const workload::FunctionProfile& profile,
-                            const ClusterConfig& cluster, double r,
-                            double headroom) {
-  AMOEBA_EXPECTS(headroom >= 1.0);
-  const double service_s =
-      profile.ideal_iaas_latency(cluster.iaas.disk_bps, cluster.iaas.net_bps);
-  const double mu = 1.0 / service_s;
-  const auto servers = core::queueing::min_servers(
-      profile.peak_load_qps, mu, profile.qos_target_s, r);
-  AMOEBA_EXPECTS_MSG(servers.has_value(),
-                     "no VM size can meet the QoS target: " + profile.name);
-  const int cores =
-      static_cast<int>(std::ceil(*servers * headroom));
-  iaas::VmSpec spec;
-  spec.cores = cores;
-  spec.memory_mb = 1024.0 + profile.memory_mb * cores;
-  spec.boot_s = cluster.iaas.vm_boot_s;
-  return spec;
-}
 
 workload::DiurnalTraceConfig diurnal_for(
     const workload::FunctionProfile& profile, double period_s, double phase) {
@@ -70,7 +24,7 @@ workload::QueryCompletionFn RunRecorder::observer(const std::string& service) {
     if (rec.arrival < warmup_s_) return;
     PerService& ps = per_service_[service];
     ps.latencies.add(rec.latency());
-    ps.records.push_back(rec);
+    if (keep_records_) ps.records.push_back(rec);
   };
 }
 
@@ -140,34 +94,14 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
                              const core::MeterCalibration& calibration,
                              const core::ServiceArtifacts& artifacts,
                              const ManagedRunOptions& opt) {
-  AMOEBA_EXPECTS(opt.period_s > 0.0 && opt.duration_days > 0.0);
-  // The foreground load starts after the VM boot window, inside warmup, so
-  // no query can arrive before its platform exists.
-  AMOEBA_EXPECTS_MSG(opt.warmup_s >= cluster.iaas.vm_boot_s + 3.0,
-                     "warmup must cover the VM boot time");
-  // Self-profiling: attach the calling thread first so the kHarness scope
-  // (setup + collection around the event loop) and the engine's kEngine
-  // loop both land in this run's accumulator. Declared before the engine so
-  // detach happens after the engine is gone.
-  obs::ProfilerAttach prof_attach(opt.profiler);
-  AMOEBA_PROF_SCOPE(kHarness);
-  sim::Engine engine;
-  if (opt.profiler != nullptr) engine.set_profiler(opt.profiler);
-  sim::Rng rng(opt.seed);
-  serverless::ServerlessPlatform sp(engine, cluster.serverless, rng.fork(1));
-  iaas::IaasPlatform ip(engine, cluster.iaas, rng.fork(2));
-
-  // Fault injection rides its own rng fork: a fault-free config creates no
-  // injector and stays byte-identical to pre-fault-layer runs.
-  std::unique_ptr<sim::FaultInjector> faults;
-  if (opt.faults.any()) {
-    faults = std::make_unique<sim::FaultInjector>(opt.faults, rng.fork(4));
-    sp.set_fault_injector(faults.get());
-    ip.set_fault_injector(faults.get());
-  }
-
-  const double duration = opt.warmup_s + opt.period_s * opt.duration_days;
-  RunRecorder recorder(opt.warmup_s);
+  Node node(cluster, opt);
+  sim::Engine& engine = node.engine();
+  const sim::Rng& rng = node.rng();
+  serverless::ServerlessPlatform& sp = node.serverless_platform();
+  iaas::IaasPlatform& ip = node.iaas_platform();
+  sim::FaultInjector* const faults = node.faults();
+  const double duration = node.duration_s();
+  RunRecorder recorder(opt.warmup_s, opt.keep_records);
 
   // Background tenants live directly on the shared serverless platform.
   std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;
@@ -196,7 +130,6 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
   // Foreground service under the chosen deployment system.
   ManagedRunResult result;
   result.qos_target_s = foreground.qos_target_s;
-  result.duration_s = duration;
 
   auto fg_trace = std::make_unique<workload::DiurnalTrace>(
       diurnal_for(foreground, opt.period_s), opt.seed ^ 0x51u);
@@ -246,14 +179,12 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
         cfg.timeline_period_s = opt.timeline_period_s;
       }
       if (opt.observer != nullptr) cfg.observer = opt.observer;
-      cfg.fault_injector = faults.get();
+      cfg.fault_injector = faults;
       runtime = std::make_unique<core::AmoebaRuntime>(
           engine, sp, ip, calibration, cfg, rng.fork(3));
       const auto vm_spec = just_enough_vm(foreground, cluster);
-      const int n_max = std::max(
-          1, static_cast<int>(std::ceil(vm_spec.cores *
-                                        opt.n_max_core_factor)));
-      runtime->add_service(foreground, vm_spec, artifacts, n_max);
+      runtime->add_service(foreground, vm_spec, artifacts,
+                           solo_container_ask(vm_spec));
       runtime->start();
       fg_arrival = [rt = runtime.get(), fg_name, fg_observer] {
         rt->submit(fg_name, fg_observer);
@@ -266,13 +197,9 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
       engine, rng.fork(7), [t = fg_trace.get()](double now) { return t->rate(now); },
       fg_trace->max_rate(), std::move(fg_arrival));
 
-  // Start the foreground load only after the IaaS VM could have booted (the
-  // warmup window absorbs it; warmup records are dropped anyway).
-  const double fg_start = std::min(cluster.iaas.vm_boot_s + 2.0,
-                                   std::max(opt.warmup_s - 1.0, 0.0));
-  engine.schedule(fg_start, [g = fg_gen.get()] { g->start(); });
+  engine.schedule(node.load_start_s(), [g = fg_gen.get()] { g->start(); });
 
-  engine.run_until(duration);
+  node.run();
 
   for (auto& g : generators) g->stop();
   fg_gen->stop();
@@ -280,7 +207,7 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
 
   if (recorder.count(fg_name) > 0) {
     result.latencies = recorder.latencies(fg_name);
-    if (opt.keep_records) result.records = recorder.records(fg_name);
+    result.records = recorder.records(fg_name);
   }
   result.queries = recorder.count(fg_name);
 
@@ -304,9 +231,7 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
       }
       break;
   }
-  if (faults) result.fault_counters = faults->counters();
-  result.trace_hash = engine.trace_hash();
-  result.events_executed = engine.executed();
+  node.roll_up(result);
   return result;
 }
 

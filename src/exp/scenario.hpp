@@ -1,9 +1,7 @@
-// Experiment scenario builders — encodes the paper's §VII-A setup.
-//
-// The simulated cluster mirrors Table II: one 40-core / 25 GbE / NVMe node
-// hosts the shared serverless platform, a second node hosts the IaaS VMs,
-// and the load generator + controller + monitor run "off to the side"
-// (they cost nothing in the simulation, matching the paper's third node).
+// Experiment scenario builders — encodes the paper's §VII-A setup on the
+// shared node of exp/node.hpp: one foreground service under a chosen
+// deployment system, with scripted background tenants on the serverless
+// platform.
 #pragma once
 
 #include <map>
@@ -14,37 +12,12 @@
 
 #include "core/amoeba.hpp"
 #include "core/profile_data.hpp"
-#include "iaas/platform.hpp"
-#include "serverless/platform.hpp"
-#include "stats/percentile.hpp"
+#include "exp/node.hpp"
 #include "workload/diurnal_trace.hpp"
 #include "workload/functionbench.hpp"
 #include "workload/load_generator.hpp"
 
-namespace amoeba::obs {
-class Profiler;
-}  // namespace amoeba::obs
-
 namespace amoeba::exp {
-
-/// Hardware/software configuration of the simulated cluster (Table II).
-struct ClusterConfig {
-  serverless::PlatformConfig serverless;
-  iaas::IaasConfig iaas;
-  std::uint64_t seed = 42;
-};
-
-/// Table II defaults: 40 cores, 32 GB container pool (256 MB containers →
-/// n_max 128 node-wide), NVMe at 2 GB/s, 25 GbE, 1 s cold starts.
-[[nodiscard]] ClusterConfig default_cluster();
-
-/// "Just-enough" IaaS sizing (paper §II-B): the smallest VM (integer cores)
-/// whose M/M/c model keeps the r-ile latency within the QoS target at the
-/// service's peak load, with a small multiplicative headroom. Memory is a
-/// 1 GB base plus one worker's footprint per core.
-[[nodiscard]] iaas::VmSpec just_enough_vm(
-    const workload::FunctionProfile& profile, const ClusterConfig& cluster,
-    double r = 0.95, double headroom = 1.15);
 
 /// The diurnal trace used to drive a service: peak at its provisioned
 /// peak_load_qps, trough at 25% (paper §I: low load < 30% of peak).
@@ -52,10 +25,12 @@ struct ClusterConfig {
     const workload::FunctionProfile& profile, double period_s,
     double phase = 0.0);
 
-/// Collects per-service user-query records with a warmup filter.
+/// Collects per-service user-query latencies with a warmup filter, and the
+/// full QueryRecords only when `keep_records` is set.
 class RunRecorder {
  public:
-  explicit RunRecorder(double warmup_s) : warmup_s_(warmup_s) {}
+  explicit RunRecorder(double warmup_s, bool keep_records = false)
+      : warmup_s_(warmup_s), keep_records_(keep_records) {}
 
   [[nodiscard]] workload::QueryCompletionFn observer(
       const std::string& service);
@@ -72,6 +47,7 @@ class RunRecorder {
     std::vector<workload::QueryRecord> records;
   };
   double warmup_s_;
+  bool keep_records_;
   std::map<std::string, PerService> per_service_;
 };
 
@@ -93,43 +69,21 @@ enum class DeploySystem {
 [[nodiscard]] core::AmoebaConfig default_amoeba_config(
     DeploySystem system, double timeline_period_s);
 
-struct ManagedRunOptions {
-  double period_s = 1200.0;      ///< compressed "day"
-  double duration_days = 1.0;
-  double warmup_s = 60.0;
+/// The observer, when set, is ignored by the pure baselines (no control
+/// loop to observe) and takes precedence over `amoeba->observer`.
+struct ManagedRunOptions : NodeRunOptions {
   bool with_background = true;   ///< float/dd/cloud_stor at low peak (§VII-A)
   double background_peak_fraction = 0.30;
   /// Forwarded to AmoebaConfig::timeline_period_s: 0 follows the monitor
   /// sample period, negative disables timelines, positive as given.
   double timeline_period_s = 0.0;
-  std::uint64_t seed = 42;
-  /// Per-service container limit (paper §IV-A's n_max), as a multiple of
-  /// the just-enough VM's cores: the service may not consume more of the
-  /// shared pool than it would rent on IaaS. Keeps the discriminant honest
-  /// about the serverless peak capacity (and bounds worst-case memory).
-  double n_max_core_factor = 1.0;
   /// Keep every foreground QueryRecord in the result (windowed analyses).
   bool keep_records = false;
   /// Overrides for ablation studies; defaults follow AmoebaConfig.
   std::optional<core::AmoebaConfig> amoeba;
-  /// Observability sink attached to the Amoeba runtime (non-owning;
-  /// nullptr = disabled). Ignored by the pure baselines, which have no
-  /// control loop to observe. Takes precedence over `amoeba->observer`.
-  obs::Observer* observer = nullptr;
-  /// Self-profiler for the run (non-owning; nullptr = disabled). run_managed
-  /// attaches it to the calling thread and the engine for the duration of
-  /// the run; wall time is attributed per obs::ProfDomain into sim-time
-  /// buckets. Pure bookkeeping — the event trace is identical with or
-  /// without it (Determinism.ProfilerDoesNotPerturbTheSimulation).
-  obs::Profiler* profiler = nullptr;
-  /// Fault injection rates. All-zero (the default) runs fault-free and is
-  /// byte-identical to a build without the subsystem; any nonzero rate
-  /// attaches a FaultInjector (seeded from the run seed, fork 4) to the
-  /// container pool, the VM fleet and the contention monitor.
-  sim::FaultConfig faults;
 };
 
-struct ManagedRunResult {
+struct ManagedRunResult : NodeRunStats {
   stats::SampleSet latencies;              ///< foreground user queries
   std::vector<workload::QueryRecord> records;  ///< if keep_records
   std::uint64_t queries = 0;
@@ -137,17 +91,9 @@ struct ManagedRunResult {
   std::vector<core::SwitchEvent> switches; ///< empty for pure baselines
   core::ServiceTimeline timeline;          ///< populated if sampling enabled
   double qos_target_s = 0.0;
-  double duration_s = 0.0;
-  /// Hash of the executed event trace (timestamp, event id) — identical
-  /// across runs iff the simulation was deterministic (see Engine::trace_hash).
-  std::uint64_t trace_hash = 0;
-  /// Engine events dispatched during the run (throughput denominators).
-  std::uint64_t events_executed = 0;
   /// Switch-protocol resilience counters (managed systems only).
   std::uint64_t switch_aborts = 0;
   std::uint64_t switch_retries = 0;
-  /// Injected-fault tallies (all zero when `faults` was all-zero).
-  sim::FaultCounters fault_counters;
 
   [[nodiscard]] double p95() const { return latencies.quantile(0.95); }
   [[nodiscard]] double violation_fraction() const {

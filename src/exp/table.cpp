@@ -84,6 +84,12 @@ std::string fmt_percent(double fraction, int precision) {
   return fmt_fixed(fraction * 100.0, precision) + "%";
 }
 
+std::string hash_hex(std::uint64_t h) {
+  std::ostringstream os;
+  os << "0x" << std::hex << h;
+  return os.str();
+}
+
 std::string fmt_si(double x, int precision) {
   static constexpr struct {
     double scale;

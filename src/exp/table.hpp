@@ -1,6 +1,7 @@
 // Plain-text table / CSV output for the figure and table benches.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -31,6 +32,8 @@ class Table {
 [[nodiscard]] std::string fmt_fixed(double x, int precision = 3);
 [[nodiscard]] std::string fmt_percent(double fraction, int precision = 1);
 [[nodiscard]] std::string fmt_si(double x, int precision = 3);
+/// Trace hashes in summaries: "0x" + lowercase hex.
+[[nodiscard]] std::string hash_hex(std::uint64_t h);
 
 /// Standard bench banner: experiment id + the Table II cluster description.
 void print_banner(std::ostream& os, const std::string& experiment,

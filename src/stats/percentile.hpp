@@ -17,7 +17,7 @@ namespace amoeba::stats {
 [[nodiscard]] double percentile_inplace(std::vector<double>& samples, double q);
 
 /// Accumulates raw samples and answers percentile / CDF queries.
-/// Memory is O(n); use `stats::P2Quantile` where a stream is too large.
+/// Memory is O(n): every sample is retained.
 class SampleSet {
  public:
   void add(double x) { samples_.push_back(x); dirty_ = true; }

@@ -316,8 +316,8 @@ CallGraphRunResult sample_result() {
   for (int i = 1; i <= 100; ++i) {
     r.e2e_latencies.add(0.005 * static_cast<double>(i));
   }
-  r.stages_usage.cpu_core_seconds = 720.0;
-  r.stages_usage.memory_mb_seconds = 1024.0 * 360.0;
+  r.tenants_usage.cpu_core_seconds = 720.0;
+  r.tenants_usage.memory_mb_seconds = 1024.0 * 360.0;
   r.meter_usage.cpu_core_seconds = 36.0;
   r.peak_pool_containers = 31;
   r.prewarm_denied_total = 5;

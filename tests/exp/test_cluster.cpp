@@ -196,8 +196,8 @@ ClusterRunResult sample_result() {
   ClusterRunResult r;
   r.duration_s = 1260.0;
   r.trace_hash = 0x0123456789abcdefULL;
-  r.services_usage.cpu_core_seconds = 7200.0;
-  r.services_usage.memory_mb_seconds = 1024.0 * 3600.0;
+  r.tenants_usage.cpu_core_seconds = 7200.0;
+  r.tenants_usage.memory_mb_seconds = 1024.0 * 3600.0;
   r.meter_usage.cpu_core_seconds = 360.0;
   r.meter_usage.memory_mb_seconds = 512.0 * 3600.0;
   r.pool_memory_mb_seconds = 5.0e6;

@@ -68,20 +68,24 @@ TEST(BackgroundSuite, ThreePaperTenantsScaled) {
 }
 
 TEST(RunRecorder, FiltersWarmupAndAggregates) {
-  RunRecorder rec(10.0);
-  auto obs = rec.observer("svc");
-  workload::QueryRecord r;
-  r.function = "svc";
-  r.arrival = 5.0;
-  r.completion = 5.5;
-  obs(r);  // in warmup: dropped
-  r.arrival = 15.0;
-  r.completion = 15.2;
-  obs(r);
-  EXPECT_EQ(rec.count("svc"), 1u);
-  EXPECT_NEAR(rec.latencies("svc").mean(), 0.2, 1e-12);
-  EXPECT_EQ(rec.records("svc").size(), 1u);
-  EXPECT_EQ(rec.count("other"), 0u);
+  // Same two queries with and without record keeping: the count and the
+  // latencies agree, and only the keeping recorder stores QueryRecords.
+  for (const bool keep : {true, false}) {
+    RunRecorder rec(10.0, keep);
+    auto obs = rec.observer("svc");
+    workload::QueryRecord r;
+    r.function = "svc";
+    r.arrival = 5.0;
+    r.completion = 5.5;
+    obs(r);  // in warmup: dropped
+    r.arrival = 15.0;
+    r.completion = 15.2;
+    obs(r);
+    EXPECT_EQ(rec.count("svc"), 1u) << keep;
+    EXPECT_NEAR(rec.latencies("svc").mean(), 0.2, 1e-12) << keep;
+    EXPECT_EQ(rec.records("svc").size(), keep ? 1u : 0u);
+    EXPECT_EQ(rec.count("other"), 0u) << keep;
+  }
 }
 
 TEST(DeploySystem, Names) {

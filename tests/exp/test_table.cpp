@@ -21,8 +21,8 @@ namespace {
 ClusterRunResult two_service_result() {
   ClusterRunResult r;
   r.duration_s = 3600.0;
-  r.services_usage.cpu_core_seconds = 9000.0;
-  r.services_usage.memory_mb_seconds = 2048.0 * 3600.0;
+  r.tenants_usage.cpu_core_seconds = 9000.0;
+  r.tenants_usage.memory_mb_seconds = 2048.0 * 3600.0;
   r.meter_usage.cpu_core_seconds = 900.0;
   r.meter_usage.memory_mb_seconds = 1024.0 * 3600.0;
 
@@ -145,7 +145,7 @@ TEST(ClusterTable, EmptyTenantListStillPrintsTheTotalRow) {
 TEST(ClusterTable, SingleTenantRowMatchesTheTotal) {
   ClusterRunResult r = two_service_result();
   r.services.resize(1);
-  r.services_usage = r.services[0].usage;
+  r.tenants_usage = r.services[0].usage;
   r.meter_usage = {};
   const Table t = cluster_table(r);
   EXPECT_EQ(t.rows(), 2u);  // the tenant + TOTAL
@@ -173,7 +173,7 @@ CallGraphRunResult callgraph_result() {
   r.queries_unfinished = 1;
   r.e2e_latencies.add(0.5);
   r.e2e_latencies.add(0.9);
-  r.stages_usage.cpu_core_seconds = 7200.0;
+  r.tenants_usage.cpu_core_seconds = 7200.0;
 
   CallGraphStageResult s;
   s.stage = 0;
