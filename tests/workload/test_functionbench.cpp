@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace amoeba::workload {
 namespace {
 
@@ -13,6 +15,11 @@ struct ExpectedSensitivity {
   Sensitivity disk;
   Sensitivity net;
 };
+
+// Prints the benchmark name. Without it gtest prints the raw bytes of the
+// struct, whose string pointer and padding differ from process to process,
+// so the listed test names would change on every test discovery.
+void PrintTo(const ExpectedSensitivity& e, std::ostream* os) { *os << e.name; }
 
 class TableIII : public ::testing::TestWithParam<ExpectedSensitivity> {};
 
