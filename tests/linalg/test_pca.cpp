@@ -133,5 +133,24 @@ TEST(Pcr, InterceptOnlyData) {
   EXPECT_NEAR(m.predict({0.5, 0.5}), 5.0, 1e-6);
 }
 
+TEST(Pcr, RidgeRescuesConstantWindow) {
+  // Every column constant: all scores are zero, so the normal equations
+  // SᵀS are singular and only the ridge keeps them positive definite.
+  Matrix x(40, 3);
+  std::vector<double> y(40);
+  sim::Rng rng(38);
+  for (std::size_t i = 0; i < 40; ++i) {
+    x(i, 0) = 0.5;
+    x(i, 1) = 1.5;
+    x(i, 2) = 4.0;
+    y[i] = rng.uniform(0.2, 0.4);
+  }
+  const PcrModel m = fit_pcr(x, y, 0.95, 1e-8);
+  ASSERT_EQ(m.score_coeffs.size(), 1u);
+  EXPECT_EQ(m.score_coeffs[0], 0.0);
+  EXPECT_EQ(m.predict({0.5, 1.5, 4.0}), m.intercept);
+  EXPECT_THROW((void)fit_pcr(x, y, 0.95, 0.0), ContractError);
+}
+
 }  // namespace
 }  // namespace amoeba::linalg
