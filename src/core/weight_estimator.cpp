@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace amoeba::core {
 
@@ -27,27 +28,33 @@ void WeightEstimator::observe(const Features& predicted,
                               double observed_latency) {
   AMOEBA_EXPECTS(observed_latency > 0.0);
   for (double v : predicted) AMOEBA_EXPECTS(v >= 0.0);
-  window_.push_back(Sample{clamped(predicted), observed_latency});
-  while (window_.size() > cfg_.max_samples) window_.pop_front();
+  if (ys_.size() == 2 * cfg_.max_samples) {
+    xs_.erase(xs_.begin(),
+              xs_.begin() + static_cast<std::ptrdiff_t>(head_ * kNumResources));
+    ys_.erase(ys_.begin(), ys_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  const Features x = clamped(predicted);
+  xs_.insert(xs_.end(), x.begin(), x.end());
+  ys_.push_back(observed_latency);
+  if (samples() > cfg_.max_samples) ++head_;
+  AMOEBA_INVARIANT(samples() <= cfg_.max_samples &&
+                   ys_.size() <= 2 * cfg_.max_samples);
   ++since_refit_;
   maybe_refit();
 }
 
 void WeightEstimator::maybe_refit() {
   if (!cfg_.enable_pca) return;
-  if (window_.size() < cfg_.min_samples) return;
+  const std::size_t n = samples();
+  if (n < cfg_.min_samples) return;
   if (model_.has_value() && since_refit_ < cfg_.refit_interval) return;
   since_refit_ = 0;
 
-  linalg::Matrix x(window_.size(), kNumResources);
-  std::vector<double> y(window_.size());
-  for (std::size_t i = 0; i < window_.size(); ++i) {
-    for (std::size_t j = 0; j < kNumResources; ++j) {
-      x(i, j) = window_[i].x[j];
-    }
-    y[i] = window_[i].y;
-  }
-  model_ = linalg::fit_pcr(x, y, cfg_.min_explained, cfg_.ridge);
+  const linalg::MatrixView x(xs_.data() + head_ * kNumResources, n,
+                             kNumResources);
+  model_ = linalg::fit_pcr(x, std::span<const double>(ys_).subspan(head_),
+                           cfg_.min_explained, cfg_.ridge);
   ++refits_;
 }
 
@@ -63,7 +70,7 @@ double WeightEstimator::accumulate_prediction(const Features& f) const {
 double WeightEstimator::predict_service_time(const Features& raw) const {
   const Features f = clamped(raw);
   if (!model_.has_value()) return accumulate_prediction(f);
-  double p = model_->predict(std::vector<double>(f.begin(), f.end()));
+  double p = model_->predict(f);
   // If any surface hit the cap, the operating point is outside the
   // calibrated regime: take the pessimistic max of the regression and the
   // accumulation prediction so saturation is never explained away.

@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -70,7 +69,9 @@ class WeightEstimator {
       const;
 
   [[nodiscard]] bool calibrated() const noexcept { return model_.has_value(); }
-  [[nodiscard]] std::size_t samples() const noexcept { return window_.size(); }
+  [[nodiscard]] std::size_t samples() const noexcept {
+    return ys_.size() - head_;
+  }
   [[nodiscard]] std::size_t refits() const noexcept { return refits_; }
   [[nodiscard]] double solo_latency() const noexcept { return l0_; }
 
@@ -82,11 +83,15 @@ class WeightEstimator {
   WeightEstimatorConfig cfg_;
   double l0_;
   double alpha_;
-  struct Sample {
-    Features x;
-    double y;
-  };
-  std::deque<Sample> window_;
+  // The sliding window is rows [head_, ys_.size()) of xs_ (row-major,
+  // kNumResources per row) and ys_, oldest first, so a refit reads it in
+  // place through a linalg::MatrixView. Evicting a row only advances
+  // head_; once the buffers hold two windows' worth, the live rows move
+  // back to the front (one copy per max_samples observations) and the
+  // storage is reused from then on.
+  std::vector<double> xs_;
+  std::vector<double> ys_;
+  std::size_t head_ = 0;
   std::optional<linalg::PcrModel> model_;
   std::size_t since_refit_ = 0;
   std::size_t refits_ = 0;

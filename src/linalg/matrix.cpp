@@ -33,16 +33,6 @@ Matrix Matrix::column(const std::vector<double>& values) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  AMOEBA_EXPECTS(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  AMOEBA_EXPECTS(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
 Matrix Matrix::transposed() const {
   Matrix out(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r)

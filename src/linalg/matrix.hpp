@@ -1,5 +1,8 @@
 // Small dense row-major matrix. Sized for the monitor's PCA problems
-// (3-10 dimensions, hundreds of samples) — clarity over BLAS-grade speed.
+// (3-10 dimensions, hundreds of samples). Element access is inline and
+// bounds-checked; the PCR refit's inner loops (linalg/pca.cpp) run over
+// rows through MatrixView instead of building temporaries, and keep the
+// summation order of the plain loops so results stay bit-exact.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +27,14 @@ class Matrix {
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
 
-  [[nodiscard]] double& operator()(std::size_t r, std::size_t c);
-  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const;
+  [[nodiscard]] double& operator()(std::size_t r, std::size_t c) {
+    AMOEBA_EXPECTS(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
+  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const {
+    AMOEBA_EXPECTS(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
 
   [[nodiscard]] Matrix transposed() const;
   [[nodiscard]] Matrix operator*(const Matrix& rhs) const;
@@ -56,6 +65,38 @@ class Matrix {
  private:
   std::size_t rows_ = 0, cols_ = 0;
   std::vector<double> data_;
+};
+
+/// Read-only view of a row-major rows×cols block owned elsewhere: a Matrix,
+/// or a caller's buffer such as the weight estimator's sliding window. The
+/// owner must outlive the view.
+class MatrixView {
+ public:
+  MatrixView(const double* data, std::size_t rows, std::size_t cols)
+      : data_(data), rows_(rows), cols_(cols) {
+    AMOEBA_EXPECTS(data != nullptr && rows > 0 && cols > 0);
+  }
+  // Implicit, so every Matrix argument also binds to a view parameter.
+  MatrixView(const Matrix& m) noexcept  // NOLINT(google-explicit-constructor)
+      : data_(m.data().data()), rows_(m.rows()), cols_(m.cols()) {}
+
+  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
+  [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
+
+  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const {
+    AMOEBA_EXPECTS(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
+
+  /// The cols() contiguous values of row r.
+  [[nodiscard]] const double* row(std::size_t r) const {
+    AMOEBA_EXPECTS(r < rows_);
+    return data_ + r * cols_;
+  }
+
+ private:
+  const double* data_;
+  std::size_t rows_, cols_;
 };
 
 /// Dot product of equal-length vectors.
