@@ -154,7 +154,16 @@ struct ProfThreadState {
   }
 };
 
-extern thread_local ProfThreadState* t_prof_state;
+// constinit: the pointer is constant-initialised (nullptr), so every TU
+// reads it directly at its TLS offset. Without it an `extern thread_local`
+// is read through a TLS wrapper that first tests for a (weak, absent)
+// dynamic-init function. Under -fsanitize=null, GCC 12 then emits
+// `add x@gottpoff(%rip), %reg` and branches on the flags of that add to
+// null-check the wrapper's address; the linker's initial-exec to
+// local-exec TLS relaxation rewrites the add into a flag-less `lea`, so the
+// branch reads the flags of the init-function test and UBSan reports a
+// "load of null pointer" on a valid variable.
+extern constinit thread_local ProfThreadState* t_prof_state;
 
 [[nodiscard]] inline std::uint64_t prof_now_ns() noexcept {
   return static_cast<std::uint64_t>(
