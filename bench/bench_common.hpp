@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "exp/artifact_cache.hpp"
 #include "exp/profiling.hpp"
 #include "exp/scenario.hpp"
@@ -206,9 +207,13 @@ inline bool parse_smoke_flag(int argc, char** argv) {
 }
 
 /// `--json-out PATH`: where to write the summary JSON (empty = nowhere).
+/// A trailing `--json-out` with no path is a ContractError.
 inline std::string parse_json_out(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0) return argv[i + 1];
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json-out") == 0) {
+      AMOEBA_EXPECTS_MSG(i + 1 < argc, "--json-out expects a path");
+      return argv[i + 1];
+    }
   }
   return {};
 }

@@ -6,13 +6,16 @@
 
 #include "bench_common.hpp"
 #include "workload/load_generator.hpp"
+#include "workload/query.hpp"
 
 namespace {
 
 using namespace amoeba;
 
+/// Per-component latency sums over the measured queries (queue and cold
+/// start stay zero: the figure excludes them).
 struct Breakdown {
-  double overhead = 0.0, code = 0.0, exec = 0.0, post = 0.0;
+  workload::LatencyBreakdown sum;
   std::uint64_t n = 0;
 };
 
@@ -26,10 +29,10 @@ Breakdown measure(const workload::FunctionProfile& p,
   workload::ConstantLoadGenerator gen(engine, rng.fork(2), 2.0, [&] {
     sp.submit(p.name, [&b](const workload::QueryRecord& r) {
       if (r.arrival < 5.0) return;  // warmup (skip the cold start)
-      b.overhead += r.breakdown.overhead_s;
-      b.code += r.breakdown.code_load_s;
-      b.exec += r.breakdown.exec_s;
-      b.post += r.breakdown.post_s;
+      b.sum.overhead_s += r.breakdown.overhead_s;
+      b.sum.code_load_s += r.breakdown.code_load_s;
+      b.sum.exec_s += r.breakdown.exec_s;
+      b.sum.post_s += r.breakdown.post_s;
       b.n += 1;
     });
   });
@@ -53,14 +56,12 @@ int main() {
   for (const auto& p : workload::functionbench_suite()) {
     const auto b = measure(p, cluster);
     const double n = static_cast<double>(b.n);
-    const double total = (b.overhead + b.code + b.exec + b.post) / n;
-    const double overhead_share =
-        (b.overhead + b.code + b.post) / n / total;
     auto ms = [&n](double sum) {
       return exp::fmt_fixed(sum / n * 1e3, 2) + " ms";
     };
-    table.add_row({p.name, ms(b.overhead), ms(b.code), ms(b.exec),
-                   ms(b.post), exp::fmt_percent(overhead_share)});
+    table.add_row({p.name, ms(b.sum.overhead_s), ms(b.sum.code_load_s),
+                   ms(b.sum.exec_s), ms(b.sum.post_s),
+                   exp::fmt_percent(b.sum.overhead_fraction())});
   }
   table.print(std::cout);
   std::cout << "\npaper's shape: overhead share 10%–45%, largest for the\n"

@@ -164,15 +164,15 @@ core::MeterCalibration profile_meters(const ClusterConfig& cluster,
   cfg.validate();
   core::MeterCalibration calibration;
   const std::size_t m = cfg.pressure_grid.size();
+  SweepExecutor exec{cfg.threads};
 
   for (std::size_t d = 0; d < core::kNumResources; ++d) {
     const workload::MeterKind kind = workload::kAllMeters[d];
     const auto meter = workload::meter_profile(kind);
     const double demand = meter_unit_demand(kind, cluster);
     const double capacity = meter_capacity(kind, cluster);
-    std::vector<core::CurvePoint> points(m);
 
-    parallel_for(m, cfg.threads, [&](std::size_t i) {
+    auto points = exec.map_indexed<core::CurvePoint>(m, [&](std::size_t i) {
       const double pressure = cfg.pressure_grid[i];
       const double load = pressure * capacity / demand;
       const CellResult cell = run_profile_cell(
@@ -181,7 +181,7 @@ core::MeterCalibration profile_meters(const ClusterConfig& cluster,
       // Zero completions = the meter alone saturated the resource at this
       // pressure; clamp to the cell duration (isotonic repair keeps the
       // curve monotone).
-      points[i] = core::CurvePoint{
+      return core::CurvePoint{
           pressure, cell.samples > 0 ? cell.mean_latency_s
                                      : cfg.cell_duration_s};
     });
@@ -271,12 +271,12 @@ core::ServiceArtifacts profile_service(
     loads[j] = cfg.load_fractions[j] * profile.peak_load_qps;
   }
 
+  SweepExecutor exec{cfg.threads};
   for (std::size_t d = 0; d < core::kNumResources; ++d) {
     const workload::StressKind kind = stress_kind_for_dim(d);
     const auto stressor = workload::make_stressor(kind);
-    std::vector<double> lat(np * nl, 0.0);
 
-    parallel_for(np * nl, cfg.threads, [&](std::size_t idx) {
+    auto lat = exec.map_indexed<double>(np * nl, [&](std::size_t idx) {
       const std::size_t pi = idx / nl;
       const std::size_t li = idx % nl;
       const double stress_qps =
@@ -288,8 +288,7 @@ core::ServiceArtifacts profile_service(
       // exceeds the resource's effective capacity, e.g. beyond the CPU
       // interference knee). Record the cell duration as the latency: the
       // controller will correctly conclude no load is safe there.
-      lat[idx] = cell.samples > 0 ? cell.tail_latency_s
-                                  : cfg.cell_duration_s;
+      return cell.samples > 0 ? cell.tail_latency_s : cfg.cell_duration_s;
     });
     art.surfaces[d] = core::LatencySurface(cfg.pressure_grid, loads,
                                            std::move(lat));

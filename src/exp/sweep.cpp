@@ -1,11 +1,10 @@
 #include "exp/sweep.hpp"
 
 #include <cstdlib>
-#include <exception>
 #include <string>
 #include <string_view>
 
-#include "common/mutex.hpp"
+#include "common/assert.hpp"
 
 namespace amoeba::exp {
 
@@ -15,7 +14,8 @@ unsigned parse_jobs_flag(int& argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg{argv[i]};
     std::string_view value;
-    if (arg == "--jobs" && i + 1 < argc) {
+    if (arg == "--jobs") {
+      AMOEBA_EXPECTS_MSG(i + 1 < argc, "--jobs expects a value");
       value = argv[++i];
     } else if (arg.rfind("--jobs=", 0) == 0) {
       value = arg.substr(7);
@@ -34,49 +34,6 @@ unsigned parse_jobs_flag(int& argc, char** argv) {
   argc = out;
   argv[argc] = nullptr;
   return jobs;
-}
-
-void parallel_for(std::size_t n, unsigned threads,
-                  const std::function<void(std::size_t)>& fn) {
-  AMOEBA_EXPECTS(fn != nullptr);
-  if (n == 0) return;
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(effective_threads(threads), n));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  struct ErrorSlot {
-    common::Mutex mutex;
-    std::exception_ptr first_error AMOEBA_GUARDED_BY(mutex);
-  } errors;
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        fn(i);
-      } catch (...) {
-        common::MutexLock lock(errors.mutex);
-        if (!errors.first_error) errors.first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  std::exception_ptr err;
-  {
-    common::MutexLock lock(errors.mutex);
-    err = errors.first_error;
-  }
-  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace amoeba::exp

@@ -1,56 +1,28 @@
 // Share-nothing parallel sweep runner.
 //
 // Profiling and the figure benches run many independent single-threaded
-// simulations (grid cells, load sweeps, seeds). `parallel_map` fans them
-// out over a small worker pool; each item gets its own simulation engine
-// and RNG stream, so results are independent of the thread count and
-// identical to a serial run. `SweepExecutor` is the persistent-pool
-// variant for binaries that dispatch several sweeps back to back: results
-// are always collected in configuration order, no matter which worker
-// finishes first, so a table built from them is identical at --jobs 1 and
-// --jobs 8.
+// simulations (grid cells, load sweeps, seeds). `SweepExecutor` fans them
+// out over a persistent common::ThreadPool; each item gets its own
+// simulation engine and RNG stream, and results are always collected in
+// configuration order, no matter which worker finishes first, so a table
+// built from them is identical at --jobs 1 and --jobs 8 and to a serial
+// run.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "common/assert.hpp"
-#include "kernels/thread_pool.hpp"
+#include "common/thread_pool.hpp"
 
 namespace amoeba::exp {
-
-/// Effective worker count: `requested`, or hardware concurrency when 0
-/// (at least 1).
-[[nodiscard]] inline unsigned effective_threads(unsigned requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
-
-/// Apply `fn(index)` for every index in [0, n) using up to `threads`
-/// workers. `fn` must be thread-safe across distinct indices. Exceptions
-/// propagate: the first one thrown is rethrown on the caller thread.
-void parallel_for(std::size_t n, unsigned threads,
-                  const std::function<void(std::size_t)>& fn);
-
-/// Map `fn` over [0, n), collecting results in index order.
-template <typename T>
-[[nodiscard]] std::vector<T> parallel_map(
-    std::size_t n, unsigned threads,
-    const std::function<T(std::size_t)>& fn) {
-  std::vector<T> out(n);
-  parallel_for(n, threads, [&out, &fn](std::size_t i) { out[i] = fn(i); });
-  return out;
-}
 
 /// Parse and consume a `--jobs N` / `--jobs=N` flag from argv (the shared
 /// worker-count flag of the fig/abl bench binaries). Returns 1 when absent
 /// — sweeps are serial unless asked otherwise. The flag and its value are
-/// removed from argv so later flag parsers never see them.
+/// removed from argv so later flag parsers never see them. A value that is
+/// not an integer in [1, 1024], or a `--jobs` with no value after it, is a
+/// ContractError.
 [[nodiscard]] unsigned parse_jobs_flag(int& argc, char** argv);
 
 /// Persistent worker pool running independent scenario configurations
@@ -61,18 +33,19 @@ template <typename T>
 /// or completion order.
 ///
 /// Concurrency surface: the only cross-thread state is the annotated
-/// kernels::ThreadPool (Clang thread-safety checked) and the result
+/// common::ThreadPool (Clang thread-safety checked) and the result
 /// vector, which workers write at disjoint indices i — the pool's
 /// wait_idle() join orders those writes before the caller reads them.
 /// SweepExecutor itself is confined to the submitting thread: `map` /
 /// `map_indexed` must not be called concurrently on one executor.
 class SweepExecutor {
  public:
-  /// `jobs` worker threads; 1 (also the parse_jobs_flag default) runs
-  /// everything on the calling thread with no pool at all.
+  /// `jobs` worker threads (0 = hardware concurrency); 1 (also the
+  /// parse_jobs_flag default) runs everything on the calling thread with no
+  /// pool at all.
   explicit SweepExecutor(unsigned jobs)
-      : jobs_(jobs == 0 ? effective_threads(0) : jobs) {
-    if (jobs_ > 1) pool_ = std::make_unique<kernels::ThreadPool>(jobs_);
+      : jobs_(common::effective_threads(jobs)) {
+    if (jobs_ > 1) pool_ = std::make_unique<common::ThreadPool>(jobs_);
   }
 
   [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
@@ -116,7 +89,7 @@ class SweepExecutor {
 
  private:
   unsigned jobs_;
-  std::unique_ptr<kernels::ThreadPool> pool_;  // null when jobs_ == 1
+  std::unique_ptr<common::ThreadPool> pool_;  // null when jobs_ == 1
 };
 
 }  // namespace amoeba::exp

@@ -351,19 +351,24 @@ void write_summary(const Observer& obs, std::ostream& out) {
 
 ExportPaths parse_export_flags(int argc, char** argv) {
   ExportPaths paths;
-  for (int i = 1; i + 1 < argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     const std::string_view flag = argv[i];
+    std::string* dest = nullptr;
     if (flag == "--trace-out") {
-      paths.trace = argv[++i];
+      dest = &paths.trace;
     } else if (flag == "--metrics-out") {
-      paths.metrics = argv[++i];
+      dest = &paths.metrics;
     } else if (flag == "--audit-out") {
-      paths.audit = argv[++i];
+      dest = &paths.audit;
     } else if (flag == "--summary-out") {
-      paths.summary = argv[++i];
+      dest = &paths.summary;
     } else if (flag == "--profile-out") {
-      paths.profile = argv[++i];
+      dest = &paths.profile;
+    } else {
+      continue;
     }
+    AMOEBA_EXPECTS_MSG(i + 1 < argc, std::string(flag) + " expects a path");
+    *dest = argv[++i];
   }
   return paths;
 }

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,40 +13,9 @@
 namespace amoeba::exp {
 namespace {
 
-TEST(Sweep, VisitsEveryIndexOnce) {
-  std::vector<std::atomic<int>> hits(500);
-  parallel_for(500, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Sweep, ZeroItemsNoop) {
-  parallel_for(0, 4, [](std::size_t) { FAIL(); });
-}
-
-TEST(Sweep, SerialWhenOneThread) {
-  std::vector<std::size_t> order;
-  parallel_for(10, 1, [&](std::size_t i) { order.push_back(i); });
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(Sweep, ExceptionPropagates) {
-  EXPECT_THROW(parallel_for(100, 4,
-                            [](std::size_t i) {
-                              if (i == 42) throw std::runtime_error("x");
-                            }),
-               std::runtime_error);
-}
-
-TEST(Sweep, ParallelMapPreservesOrder) {
-  const auto out = parallel_map<std::size_t>(
-      64, 4, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 64u);
-  for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(out[i], i * i);
-}
-
 TEST(Sweep, EffectiveThreadsNeverZero) {
-  EXPECT_GE(effective_threads(0), 1u);
-  EXPECT_EQ(effective_threads(7), 7u);
+  EXPECT_GE(common::effective_threads(0), 1u);
+  EXPECT_EQ(common::effective_threads(7), 7u);
 }
 
 // Each cell hashes its own seeded stream — a stand-in for "own Engine, own
@@ -70,10 +39,12 @@ TEST(SweepExecutor, IdenticalResultTablesAtJobs1AndJobs8) {
 
 TEST(SweepExecutor, MapIndexedCollectsInIndexOrder) {
   SweepExecutor exec(4);
-  const auto out = exec.map_indexed<std::size_t>(
-      100, [](std::size_t i) { return i * 3 + 1; });
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(out[i], i * 3 + 1);
+  for (const std::size_t n : {std::size_t{100}, std::size_t{0}}) {
+    const auto out = exec.map_indexed<std::size_t>(
+        n, [](std::size_t i) { return i * 3 + 1; });
+    ASSERT_EQ(out.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], i * 3 + 1);
+  }
 }
 
 TEST(SweepExecutor, Jobs1RunsOnCallingThreadWithoutPool) {
@@ -131,7 +102,8 @@ TEST(ParseJobsFlag, ConsumesBothSpellingsAndRemovesThemFromArgv) {
 
 TEST(ParseJobsFlag, RejectsNonNumericAndOutOfRange) {
   std::vector<char*> ptrs;
-  for (const std::string bad : {"--jobs=zero", "--jobs=0", "--jobs=4096"}) {
+  for (const std::string bad :
+       {"--jobs=zero", "--jobs=0", "--jobs=4096", "--jobs=", "--jobs"}) {
     std::vector<std::string> args = {"bench", bad};
     char** argv = make_argv(args, ptrs);
     int argc = 2;

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "obs/exporters.hpp"
 #include "obs/json.hpp"
 
@@ -150,6 +151,17 @@ TEST(ExportFlags, ParsesTheSharedCli) {
   EXPECT_EQ(p.audit, "a.jsonl");
   EXPECT_EQ(p.summary, "s.txt");
   EXPECT_TRUE(p.any());
+
+  // A value-taking flag given last has no path: rejected, not dropped.
+  for (const char* flag : {"--trace-out", "--metrics-out", "--audit-out",
+                           "--summary-out", "--profile-out"}) {
+    argv.push_back(const_cast<char*>(flag));
+    EXPECT_THROW((void)parse_export_flags(static_cast<int>(argv.size()),
+                                          argv.data()),
+                 ContractError)
+        << flag;
+    argv.pop_back();
+  }
 }
 
 TEST(ExportFlags, EmptyWhenNoFlagsGiven) {

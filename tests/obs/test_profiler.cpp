@@ -1,7 +1,7 @@
 // Unit tests for the self-profiler (obs/profiler.hpp): domain-name round
 // trips, segment-accounting invariants under nested scopes, JSONL and
 // Chrome-trace export, and per-thread accumulator merging when scopes run
-// on kernels::ThreadPool workers (the TSAN leg runs the ThreadPool tests
+// on common::ThreadPool workers (the TSAN leg runs the ThreadPool tests
 // under -fsanitize=thread, so the attach/merge locking is race-checked).
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <sstream>
 
-#include "kernels/thread_pool.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
 
@@ -215,7 +215,7 @@ TEST(Profiler, ThreadPoolWorkersMergeIntoOneReport) {
   Profiler prof;
   std::atomic<int> ran{0};
   {
-    kernels::ThreadPool pool(4);
+    common::ThreadPool pool(4);
     for (int t = 0; t < kTasks; ++t) {
       pool.submit([&prof, &ran] {
         ProfilerAttach attach(&prof);
