@@ -207,12 +207,16 @@ inline bool parse_smoke_flag(int argc, char** argv) {
 }
 
 /// `--json-out PATH`: where to write the summary JSON (empty = nowhere).
-/// A trailing `--json-out` with no path is a ContractError.
+/// A trailing `--json-out` with no path, or one followed by another `--`
+/// flag, is a ContractError.
 inline std::string parse_json_out(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json-out") == 0) {
       AMOEBA_EXPECTS_MSG(i + 1 < argc, "--json-out expects a path");
-      return argv[i + 1];
+      const std::string value = argv[i + 1];
+      AMOEBA_EXPECTS_MSG(!value.starts_with("--"),
+                         "--json-out expects a path, got " + value);
+      return value;
     }
   }
   return {};

@@ -27,11 +27,16 @@ void BM_EngineScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleRun)->Arg(1000)->Arg(100000);
 
+// Keeps `streams` streams alive on a 40-core resource for 2000 opens, with
+// and without the CPU interference penalty (0.35, the cluster's
+// serverless cpu_interference). 512 streams is the size of profile_sweep's
+// oversubscribed cells.
 void BM_FairShareChurn(benchmark::State& state) {
   const int concurrency = static_cast<int>(state.range(0));
+  const double interference = state.range(1) != 0 ? 0.35 : 0.0;
   for (auto _ : state) {
     sim::Engine e;
-    sim::FairShareResource cpu(e, "cpu", 40.0);
+    sim::FairShareResource cpu(e, "cpu", 40.0, interference);
     int opened = 0;
     // Keep `concurrency` streams alive; each completion opens a successor.
     std::function<void()> open_one = [&] {
@@ -45,7 +50,9 @@ void BM_FairShareChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(2000 * state.iterations());
 }
-BENCHMARK(BM_FairShareChurn)->Arg(4)->Arg(32)->Arg(128);
+BENCHMARK(BM_FairShareChurn)
+    ->ArgNames({"streams", "interference"})
+    ->ArgsProduct({{4, 32, 128, 512}, {0, 1}});
 
 void BM_ServerlessQueryPath(benchmark::State& state) {
   // End-to-end cost of simulating one warm serverless query.

@@ -368,7 +368,11 @@ ExportPaths parse_export_flags(int argc, char** argv) {
       continue;
     }
     AMOEBA_EXPECTS_MSG(i + 1 < argc, std::string(flag) + " expects a path");
-    *dest = argv[++i];
+    const std::string_view value = argv[++i];
+    AMOEBA_EXPECTS_MSG(!value.starts_with("--"),
+                       std::string(flag) + " expects a path, got " +
+                           std::string(value));
+    *dest = value;
   }
   return paths;
 }

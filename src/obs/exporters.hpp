@@ -54,8 +54,8 @@ struct ExportPaths {
 
 /// Scan argv for --trace-out F, --metrics-out F, --audit-out F,
 /// --summary-out F, --profile-out F (space-separated). Unrelated arguments
-/// are ignored; one of these flags with no path after it is a
-/// ContractError.
+/// are ignored; one of these flags with no path after it, or followed by
+/// another `--` flag instead of a path, is a ContractError.
 [[nodiscard]] ExportPaths parse_export_flags(int argc, char** argv);
 
 /// Insert `suffix` before the path's extension ("t.json", "_a" -> "t_a.json").

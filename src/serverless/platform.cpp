@@ -250,13 +250,10 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
       return;
     }
     const double t0 = engine_.now();
-    net_.open(
-        bytes, 0.0,
-        [this, rec, t0, next = std::move(next)]() mutable {
-          rec->breakdown.post_s = engine_.now() - t0;
-          next();
-        },
-        rec->function);
+    net_.open(bytes, 0.0, [this, rec, t0, next = std::move(next)]() mutable {
+      rec->breakdown.post_s = engine_.now() - t0;
+      next();
+    });
   };
 
   auto exec_net_phase = [this, rec, bytes = p.exec.net_bytes * net_scale,
@@ -266,13 +263,10 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
       return;
     }
     const double t0 = engine_.now();
-    net_.open(
-        bytes, 0.0,
-        [this, rec, t0, next = std::move(next)]() mutable {
-          rec->breakdown.exec_s += engine_.now() - t0;
-          next();
-        },
-        rec->function);
+    net_.open(bytes, 0.0, [this, rec, t0, next = std::move(next)]() mutable {
+      rec->breakdown.exec_s += engine_.now() - t0;
+      next();
+    });
   };
 
   auto exec_io_phase = [this, rec, bytes = p.exec.io_bytes * io_scale,
@@ -282,13 +276,10 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
       return;
     }
     const double t0 = engine_.now();
-    disk_.open(
-        bytes, 0.0,
-        [this, rec, t0, next = std::move(next)]() mutable {
-          rec->breakdown.exec_s += engine_.now() - t0;
-          next();
-        },
-        rec->function);
+    disk_.open(bytes, 0.0, [this, rec, t0, next = std::move(next)]() mutable {
+      rec->breakdown.exec_s += engine_.now() - t0;
+      next();
+    });
   };
 
   auto exec_cpu_phase = [this, rec, cpu_work, cap = cfg_.container_core_cap,
@@ -298,13 +289,10 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
       return;
     }
     const double t0 = engine_.now();
-    cpu_.open(
-        cpu_work, cap,
-        [this, rec, t0, next = std::move(next)]() mutable {
-          rec->breakdown.exec_s += engine_.now() - t0;
-          next();
-        },
-        rec->function);
+    cpu_.open(cpu_work, cap, [this, rec, t0, next = std::move(next)]() mutable {
+      rec->breakdown.exec_s += engine_.now() - t0;
+      next();
+    });
   };
 
   auto code_load_phase = [this, rec, bytes = p.code_bytes * io_scale,
@@ -314,13 +302,10 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
       return;
     }
     const double t0 = engine_.now();
-    disk_.open(
-        bytes, 0.0,
-        [this, rec, t0, next = std::move(next)]() mutable {
-          rec->breakdown.code_load_s = engine_.now() - t0;
-          next();
-        },
-        rec->function);
+    disk_.open(bytes, 0.0, [this, rec, t0, next = std::move(next)]() mutable {
+      rec->breakdown.code_load_s = engine_.now() - t0;
+      next();
+    });
   };
 
   // Entry: fixed platform processing overhead (auth + scheduling).
@@ -396,18 +381,6 @@ double ServerlessPlatform::cpu_core_seconds(
 double ServerlessPlatform::memory_mb_seconds(const std::string& function,
                                              sim::Time now) {
   return pool_.memory_mb_seconds(function, now);
-}
-
-std::array<double, 3> ServerlessPlatform::true_pressure_of(
-    const std::string& function) const {
-  return {cpu_.pressure_of(function), disk_.pressure_of(function),
-          net_.pressure_of(function)};
-}
-
-std::array<double, 3> ServerlessPlatform::true_external_pressure(
-    const std::string& function) const {
-  return {cpu_.external_pressure(function), disk_.external_pressure(function),
-          net_.external_pressure(function)};
 }
 
 }  // namespace amoeba::serverless

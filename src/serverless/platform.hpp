@@ -18,7 +18,6 @@
 // being scripted.
 #pragma once
 
-#include <array>
 #include <deque>
 #include <map>
 #include <memory>
@@ -153,18 +152,6 @@ class ServerlessPlatform {
   [[nodiscard]] double true_net_utilization() const {
     return net_.utilization();
   }
-  /// Ground-truth per-function demand attribution over {cpu, disk, net},
-  /// each as a fraction of that resource's capacity. Fed by the stream tags
-  /// every invocation phase carries, so it reflects what is *live* right
-  /// now. Tests/validation only — the controller estimates pressure through
-  /// meters, exactly as on real hardware.
-  [[nodiscard]] std::array<double, 3> true_pressure_of(
-      const std::string& function) const;
-  /// Pressure on each resource caused by everything except `function` —
-  /// the live aggregate load of co-located tenants.
-  [[nodiscard]] std::array<double, 3> true_external_pressure(
-      const std::string& function) const;
-
   /// Ground-truth busy-capacity integrals (work served so far); their time
   /// derivative over a window is the resource's average busy fraction.
   double true_cpu_busy_integral(sim::Time now) const {

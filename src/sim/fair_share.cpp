@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <utility>
-#include <vector>
+
 #include "obs/profiler.hpp"
 
 namespace amoeba::sim {
@@ -19,6 +19,14 @@ constexpr double kWorkEpsilon = 1e-12;
 // can leave remaining work worth up to ~ns of service, and rescheduling it
 // would advance the clock by less than one ulp — an infinite event loop.
 constexpr double kTimeEpsilon = 1e-9;
+
+// remap_ entry of a stream that completed.
+constexpr std::uint32_t kGone = std::numeric_limits<std::uint32_t>::max();
+
+bool drained(double remaining, double rate) noexcept {
+  return remaining <= kWorkEpsilon ||
+         (rate > 0.0 && remaining <= rate * kTimeEpsilon);
+}
 
 }  // namespace
 
@@ -38,73 +46,69 @@ FairShareResource::~FairShareResource() {
   if (completion_event_ != kNoEvent) engine_.cancel(completion_event_);
 }
 
+std::size_t FairShareResource::find(StreamId id) const noexcept {
+  const auto it = std::lower_bound(
+      streams_.begin(), streams_.end(), id,
+      [](const Stream& s, StreamId key) { return s.id < key; });
+  if (it == streams_.end() || it->id != id) return streams_.size();
+  return static_cast<std::size_t>(it - streams_.begin());
+}
+
 StreamId FairShareResource::open(double work, double cap,
                                  CompletionFn on_complete,
-                                 std::string_view tag) {
+                                 std::string_view /*label*/) {
   AMOEBA_EXPECTS(work >= 0.0);
   AMOEBA_EXPECTS(on_complete != nullptr);
   bank_progress();
-  const StreamId id = next_id_++;
   Stream s;
+  s.id = next_id_++;
   s.remaining = work;
   s.cap = (cap <= 0.0) ? capacity_ : std::min(cap, capacity_);
-  s.tag = std::string(tag);
-  s.on_complete = std::move(on_complete);
-  if (!s.tag.empty()) demand_by_tag_[s.tag] += s.cap;
-  streams_.emplace(id, std::move(s));
+  if (free_fns_.empty()) {
+    s.fn = static_cast<std::uint32_t>(fns_.size());
+    fns_.push_back(std::move(on_complete));
+  } else {
+    s.fn = free_fns_.back();
+    free_fns_.pop_back();
+    fns_[s.fn] = std::move(on_complete);
+  }
+  // The new id is the largest, so the stream goes last among equal caps.
+  const auto at = std::upper_bound(
+      by_cap_.begin(), by_cap_.end(), s.cap,
+      [this](double c, std::uint32_t p) { return c < streams_[p].cap; });
+  by_cap_.insert(at, static_cast<std::uint32_t>(streams_.size()));
+  streams_.push_back(s);
   reallocate();
-  return id;
-}
-
-void FairShareResource::release_tag_demand(const Stream& s) {
-  if (s.tag.empty()) return;
-  auto it = demand_by_tag_.find(s.tag);
-  if (it == demand_by_tag_.end()) return;
-  it->second -= s.cap;
-  // Drop entries that drained to (numerically) zero so a departed tenant
-  // reads as exactly 0 demand, not as accumulated float dust.
-  if (it->second <= s.cap * 1e-12) demand_by_tag_.erase(it);
+  return s.id;
 }
 
 double FairShareResource::close(StreamId id) {
-  auto it = streams_.find(id);
-  if (it == streams_.end()) return 0.0;
+  const std::size_t pos = find(id);
+  if (pos == streams_.size()) return 0.0;
   bank_progress();
-  const double remaining = it->second.remaining;
-  release_tag_demand(it->second);
-  streams_.erase(it);
+  const Stream s = streams_[pos];
+  fns_[s.fn] = nullptr;
+  free_fns_.push_back(s.fn);
+  // Drop `pos` from the water-filling order; positions above it shift down.
+  std::size_t w = 0;
+  for (const std::uint32_t p : by_cap_) {
+    if (p != pos) by_cap_[w++] = p > pos ? p - 1 : p;
+  }
+  by_cap_.pop_back();
+  streams_.erase(streams_.begin() + static_cast<std::ptrdiff_t>(pos));
   reallocate();
-  return remaining;
+  return s.remaining;
 }
 
 double FairShareResource::pressure() const noexcept {
   double demand = 0.0;
-  for (const auto& [id, s] : streams_) demand += s.cap;
+  for (const Stream& s : streams_) demand += s.cap;
   return demand / capacity_;
 }
 
-double FairShareResource::demand_of(std::string_view tag) const noexcept {
-  auto it = demand_by_tag_.find(tag);
-  return it == demand_by_tag_.end() ? 0.0 : it->second;
-}
-
-double FairShareResource::pressure_of(std::string_view tag) const noexcept {
-  return demand_of(tag) / capacity_;
-}
-
-double FairShareResource::external_pressure(
-    std::string_view tag) const noexcept {
-  return std::max(0.0, pressure() - pressure_of(tag));
-}
-
-std::map<std::string, double, std::less<>> FairShareResource::demand_by_tag()
-    const {
-  return demand_by_tag_;
-}
-
 double FairShareResource::rate_of(StreamId id) const noexcept {
-  auto it = streams_.find(id);
-  return it == streams_.end() ? 0.0 : it->second.rate;
+  const std::size_t pos = find(id);
+  return pos == streams_.size() ? 0.0 : streams_[pos].rate;
 }
 
 double FairShareResource::utilization() const noexcept {
@@ -124,7 +128,7 @@ void FairShareResource::bank_progress() {
   const Time now = engine_.now();
   const double dt = now - last_update_;
   if (dt > 0.0) {
-    for (auto& [id, s] : streams_) {
+    for (Stream& s : streams_) {
       s.remaining = std::max(0.0, s.remaining - s.rate * dt);
     }
     busy_capacity_seconds(now);  // extend utilization integral
@@ -134,52 +138,54 @@ void FairShareResource::bank_progress() {
 
 void FairShareResource::reallocate() {
   AMOEBA_PROF_SCOPE(kFairShare);
-  // Progressive filling: process streams in ascending cap order; each takes
-  // min(cap, remaining_capacity / remaining_streams). This is the standard
-  // max-min fair ("water-filling") allocation.
-  busy_capacity_seconds(engine_.now());  // close integral at old rate
-  std::vector<std::pair<double, StreamId>> by_cap;
-  by_cap.reserve(streams_.size());
-  for (const auto& [id, s] : streams_) by_cap.emplace_back(s.cap, id);
-  std::sort(by_cap.begin(), by_cap.end());
+  const Time now = engine_.now();
+  busy_capacity_seconds(now);  // close integral at old rate
 
+  // Progressive filling: process streams in ascending (cap, id) order; each
+  // takes min(cap, remaining_capacity / remaining_streams). This is the
+  // standard max-min fair ("water-filling") allocation.
   double remaining_capacity = capacity_;
-  std::size_t remaining_streams = by_cap.size();
+  std::size_t remaining_streams = by_cap_.size();
   allocated_rate_ = 0.0;
-  for (const auto& [cap, id] : by_cap) {
-    const double equal_share = remaining_capacity / static_cast<double>(remaining_streams);
-    const double rate = std::min(cap, equal_share);
-    streams_.at(id).rate = rate;
-    allocated_rate_ += rate;
-    remaining_capacity -= rate;
+  for (const std::uint32_t p : by_cap_) {
+    Stream& s = streams_[p];
+    const double equal_share =
+        remaining_capacity / static_cast<double>(remaining_streams);
+    s.rate = std::min(s.cap, equal_share);
+    allocated_rate_ += s.rate;
+    remaining_capacity -= s.rate;
     --remaining_streams;
   }
 
   // Utilization-dependent interference penalty (shared caches / memory
-  // bandwidth): everyone slows together as the resource fills up.
+  // bandwidth): everyone slows together as the resource fills up. Without
+  // it the penalty is 1.0, and x * 1.0 == x exactly, so the rescale below
+  // runs unconditionally.
+  double penalty = 1.0;
   if (interference_ > 0.0 && allocated_rate_ > 0.0) {
     const double utilization = allocated_rate_ / capacity_;
-    const double penalty = 1.0 / (1.0 + interference_ * utilization);
-    for (auto& [id, s] : streams_) s.rate *= penalty;
+    penalty = 1.0 / (1.0 + interference_ * utilization);
     allocated_rate_ *= penalty;
   }
 
-  // Reschedule the single completion event at the earliest finish.
+  // Reschedule the single completion event at the earliest finish. It moves
+  // on every call, even when the earliest finish did not change: the
+  // engine's trace hash covers schedule sequence numbers.
   if (completion_event_ != kNoEvent) {
     engine_.cancel(completion_event_);
     completion_event_ = kNoEvent;
   }
   Time earliest = std::numeric_limits<Time>::infinity();
-  for (const auto& [id, s] : streams_) {
-    if (s.remaining <= kWorkEpsilon ||
-        (s.rate > 0.0 && s.remaining <= s.rate * kTimeEpsilon)) {
-      earliest = engine_.now();
-      break;
-    }
-    if (s.rate > 0.0) {
-      earliest = std::min(earliest, engine_.now() + s.remaining / s.rate);
+  bool due_now = false;
+  for (Stream& s : streams_) {
+    s.rate *= penalty;
+    if (drained(s.remaining, s.rate)) {
+      due_now = true;
+    } else if (s.rate > 0.0) {
+      earliest = std::min(earliest, now + s.remaining / s.rate);
     }
   }
+  if (due_now) earliest = now;
   if (std::isfinite(earliest)) {
     completion_event_ =
         engine_.schedule(earliest, [this] { on_completion_event(); });
@@ -190,23 +196,39 @@ void FairShareResource::on_completion_event() {
   AMOEBA_PROF_SCOPE(kFairShare);
   completion_event_ = kNoEvent;
   bank_progress();
-  // Collect every stream that drained (ties complete together, in id order).
-  std::vector<std::pair<StreamId, CompletionFn>> done;
-  for (auto it = streams_.begin(); it != streams_.end();) {
-    const Stream& s = it->second;
-    if (s.remaining <= kWorkEpsilon ||
-        (s.rate > 0.0 && s.remaining <= s.rate * kTimeEpsilon)) {
-      release_tag_demand(s);
-      done.emplace_back(it->first, std::move(it->second.on_complete));
-      it = streams_.erase(it);
+  // Own the batch buffer for the duration, so a callback that re-enters
+  // this resource never sees it half-used.
+  std::vector<CompletionFn> done;
+  done.swap(done_);
+  // Compact every drained stream out of streams_ (ties complete together,
+  // in id order), remembering where each survivor moved.
+  remap_.resize(streams_.size());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    const Stream s = streams_[i];
+    if (drained(s.remaining, s.rate)) {
+      done.push_back(std::move(fns_[s.fn]));
+      free_fns_.push_back(s.fn);
+      remap_[i] = kGone;
     } else {
-      ++it;
+      remap_[i] = static_cast<std::uint32_t>(kept);
+      streams_[kept++] = s;
     }
+  }
+  if (kept != streams_.size()) {
+    streams_.resize(kept);
+    std::size_t w = 0;
+    for (const std::uint32_t p : by_cap_) {
+      if (remap_[p] != kGone) by_cap_[w++] = remap_[p];
+    }
+    by_cap_.resize(w);
   }
   reallocate();
   // Fire callbacks after internal state is consistent; callbacks may open
   // new streams re-entrantly.
-  for (auto& [id, fn] : done) fn();
+  for (CompletionFn& fn : done) fn();
+  done.clear();
+  done_.swap(done);
 }
 
 }  // namespace amoeba::sim

@@ -16,13 +16,23 @@
 //
 // The Amoeba controller never looks inside this class — it only observes
 // latencies, exactly as on real hardware.
+//
+// Hot-path layout (see DESIGN.md §8): streams live in one contiguous vector
+// in id order of trivially copyable records, a persistent index keeps them
+// in (cap, id) water-filling order, and the completion callbacks sit in a
+// side slab. No call sorts, walks a map or allocates once the buffers have
+// grown to the peak stream count. The trace hashes pin the arithmetic, the
+// completion order and the engine traffic (one cancel and one schedule per
+// reallocation); the FairShareOracle tests hold them bit for bit to the
+// reference in tests/sim/fair_share_reference.hpp.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "sim/engine.hpp"
 
@@ -52,14 +62,11 @@ class FairShareResource {
   /// the work drains. `work` == 0 completes at the current time but still
   /// via an engine event (never re-entrantly).
   ///
-  /// `tag` optionally attributes the stream's demand to a client (the
-  /// serverless platform tags streams with the owning function's name).
-  /// Tagged demand is queryable via demand_of()/pressure_of(): this is the
-  /// ground-truth per-tenant demand breakdown a multi-service cluster run
-  /// needs to attribute cross-service pressure. Untagged streams cost
-  /// nothing extra.
+  /// The trailing label is accepted and ignored, for callers that still
+  /// pass one (perfbench/probes.cpp): the resource keeps no per-client
+  /// demand.
   StreamId open(double work, double cap, CompletionFn on_complete,
-                std::string_view tag = {});
+                std::string_view /*label*/ = {});
 
   /// Abort a stream before completion. Returns the remaining work (0 if the
   /// stream was unknown or already complete).
@@ -73,20 +80,6 @@ class FairShareResource {
   /// Demand pressure: total capped demand rate divided by capacity.
   /// 1.0 means the resource is exactly saturated; >1 oversubscribed.
   [[nodiscard]] double pressure() const noexcept;
-
-  /// Capped demand rate currently attributed to `tag` (0 for unknown tags).
-  [[nodiscard]] double demand_of(std::string_view tag) const noexcept;
-
-  /// `demand_of(tag) / capacity`: the tag's own share of pressure().
-  [[nodiscard]] double pressure_of(std::string_view tag) const noexcept;
-
-  /// Pressure from every *other* tenant: pressure() - pressure_of(tag).
-  /// Untagged streams count as external to every tag.
-  [[nodiscard]] double external_pressure(std::string_view tag) const noexcept;
-
-  /// Snapshot of the per-tag demand breakdown (tags with live streams).
-  [[nodiscard]] std::map<std::string, double, std::less<>> demand_by_tag()
-      const;
 
   /// Instantaneous allocated rate of a stream (0 if unknown).
   [[nodiscard]] double rate_of(StreamId id) const noexcept;
@@ -103,17 +96,19 @@ class FairShareResource {
   [[nodiscard]] double capacity() const noexcept { return capacity_; }
 
  private:
+  // The hot per-stream record. Trivially copyable, so erasing from the
+  // middle of `streams_` is a plain memmove; the callback lives in `fns_`.
   struct Stream {
+    StreamId id = 0;
     double remaining = 0.0;
     double cap = 0.0;   // effective cap (already clamped to capacity)
     double rate = 0.0;  // current allocated rate
-    std::string tag;    // demand attribution key ("" = untagged)
-    CompletionFn on_complete;
+    std::uint32_t fn = 0;  // slot in fns_
   };
+  static_assert(std::is_trivially_copyable_v<Stream>);
 
-  /// Subtract a closing/completing stream's cap from its tag's demand,
-  /// dropping the entry when the tag's last stream leaves.
-  void release_tag_demand(const Stream& s);
+  /// Position of `id` in streams_, or streams_.size() if it is not live.
+  [[nodiscard]] std::size_t find(StreamId id) const noexcept;
 
   void bank_progress();  // accrue work done since last reallocation
   void reallocate();     // recompute max-min rates + reschedule completion
@@ -123,10 +118,14 @@ class FairShareResource {
   std::string name_;
   double capacity_;
   double interference_;
-  std::map<StreamId, Stream> streams_;  // ordered: deterministic iteration
-  // Sum of effective caps per tag (only non-empty tags). Kept incrementally
-  // so demand_of() is O(log #tags) rather than O(#streams).
-  std::map<std::string, double, std::less<>> demand_by_tag_;
+  std::vector<Stream> streams_;  // ascending id; ids only grow, so open appends
+  // Positions into streams_ in ascending (cap, id) order: the water-filling
+  // order, kept up to date on open and on every removal.
+  std::vector<std::uint32_t> by_cap_;
+  std::vector<CompletionFn> fns_;        // callback slab, indexed by Stream::fn
+  std::vector<std::uint32_t> free_fns_;  // vacant slots of fns_ (LIFO)
+  std::vector<CompletionFn> done_;       // reused completed-callbacks batch
+  std::vector<std::uint32_t> remap_;     // scratch: old -> new position
   StreamId next_id_ = 1;
   Time last_update_ = 0.0;
   EventId completion_event_ = kNoEvent;

@@ -162,6 +162,18 @@ TEST(ExportFlags, ParsesTheSharedCli) {
         << flag;
     argv.pop_back();
   }
+
+  // A flag where the path should be is rejected, not taken as the path.
+  const char* swallowed[] = {"prog", "--trace-out", "--metrics-out", "m.jsonl"};
+  try {
+    (void)parse_export_flags(4, const_cast<char**>(swallowed));
+    ADD_FAILURE() << "--trace-out took --metrics-out as its path";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "--trace-out expects a path, got --metrics-out"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ExportFlags, EmptyWhenNoFlagsGiven) {
