@@ -88,27 +88,58 @@ inline exp::ProfilingConfig bench_profiling() {
   return cfg;
 }
 
+/// Version of the simulated physics that profiling measures. Bump it with
+/// any change under src/sim, src/serverless or src/iaas, or in
+/// exp/profiling.cpp, that moves a profiled number: every artifact cached
+/// under the old version then misses.
+inline constexpr int kPhysicsVersion = 1;
+
+/// Appends `v` as a hexfloat, so a tag matches only bit-equal values.
+inline void put_exact(std::ostream& os, double v) {
+  os << std::hexfloat << v << std::defaultfloat << '/';
+}
+
+/// Keys the profile cache on every field profiling reads: the physics
+/// version, the whole serverless platform config, the cluster seed and the
+/// profiling grid's values, timings and tail. `threads` is left out: the
+/// sweep's results do not depend on it.
 inline std::string cache_tag(const exp::ClusterConfig& cluster,
                              const exp::ProfilingConfig& cfg,
                              const std::string& extra = {}) {
+  const serverless::PlatformConfig& sp = cluster.serverless;
   std::ostringstream os;
-  os << "cluster:" << cluster.serverless.cores << '/'
-     << cluster.serverless.pool_memory_mb << '/'
-     << cluster.serverless.disk_bps << '/' << cluster.serverless.net_bps
-     << '/' << cluster.serverless.cold_start_mean_s << '/'
-     << cluster.serverless.cpu_interference << '/'
-     << cluster.serverless.io_efficiency << '/'
-     << cluster.serverless.keep_alive_s << '/' << cluster.seed
-     << " grid:" << cfg.pressure_grid.size() << 'x'
-     << cfg.load_fractions.size() << '/' << cfg.cell_duration_s;
+  os << "physics:" << kPhysicsVersion << " cluster:";
+  for (double v : {sp.cores, sp.pool_memory_mb, sp.disk_bps, sp.net_bps,
+                   sp.container_core_cap, sp.cpu_interference,
+                   sp.io_efficiency, sp.net_efficiency, sp.cold_start_mean_s,
+                   sp.cold_start_cv, sp.keep_alive_s,
+                   sp.crash_after_completion_p}) {
+    put_exact(os, v);
+  }
+  os << cluster.seed << " pressures:";
+  for (double v : cfg.pressure_grid) put_exact(os, v);
+  os << " loads:";
+  for (double v : cfg.load_fractions) put_exact(os, v);
+  os << " cell:";
+  for (double v : {cfg.cell_duration_s, cfg.warmup_s, cfg.tail,
+                   cfg.solo_probe_qps}) {
+    put_exact(os, v);
+  }
   if (!extra.empty()) os << ' ' << extra;
   return os.str();
 }
 
+/// Every FunctionProfile field, exactly: the demands, the serverless and
+/// IaaS overheads, the footprint, the work's variation and the contract.
 inline std::string profile_tag(const workload::FunctionProfile& p) {
   std::ostringstream os;
-  os << p.name << ':' << p.exec.cpu_seconds << '/' << p.exec.io_bytes << '/'
-     << p.exec.net_bytes << '/' << p.peak_load_qps << '/' << p.qos_target_s;
+  os << p.name << ':';
+  for (double v : {p.exec.cpu_seconds, p.exec.io_bytes, p.exec.net_bytes,
+                   p.code_bytes, p.result_bytes, p.platform_overhead_s,
+                   p.rpc_overhead_s, p.memory_mb, p.cpu_cv, p.qos_target_s,
+                   p.peak_load_qps}) {
+    put_exact(os, v);
+  }
   return os.str();
 }
 

@@ -1,12 +1,13 @@
-// Microbenchmarks of the simulated platforms: fair-share reallocation and
-// the serverless query path that dominate full-day simulations. (Engine
-// throughput proper lives in the standalone `micro_simulator` binary,
-// which records BENCH_simulator.json.)
+// Microbenchmarks of the simulated platforms: fair-share reallocation, the
+// serverless query path and the diurnal arrival rate that dominate
+// full-day simulations. (Engine throughput proper lives in the standalone
+// `micro_simulator` binary, which records BENCH_simulator.json.)
 #include <benchmark/benchmark.h>
 
 #include "serverless/platform.hpp"
 #include "sim/engine.hpp"
 #include "sim/fair_share.hpp"
+#include "workload/diurnal_trace.hpp"
 #include "workload/load_generator.hpp"
 
 namespace {
@@ -89,5 +90,24 @@ void BM_ServerlessQueryPath(benchmark::State& state) {
   state.SetItemsProcessed(500 * state.iterations());
 }
 BENCHMARK(BM_ServerlessQueryPath);
+
+// Poisson thinning asks the diurnal trace for its rate at every candidate
+// arrival: here 20 candidates per second at the rate bound, against the
+// noise factor's 30 s intervals, as on a cluster day.
+void BM_DiurnalTraceRate(benchmark::State& state) {
+  workload::DiurnalTraceConfig cfg;
+  cfg.period_s = 1800.0;
+  cfg.peak_qps = 10.0;
+  cfg.noise_cv = 0.15;
+  const workload::DiurnalTrace trace(cfg, 42);
+  const double step = 1.0 / (2.0 * trace.max_rate());
+  double t = 0.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trace.rate(t));
+    t += step;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DiurnalTraceRate);
 
 }  // namespace

@@ -112,7 +112,7 @@ void AmoebaRuntime::submit(const std::string& service,
         // Deliberately no kStats scope here: this runs per query and the
         // latency add is cheaper than a profiler scope pair. The periodic
         // on_sample stats work carries the kStats scope.
-        rt_of(service).period_latencies.add(rec.latency());
+        rt_of(service).period_latencies.push_back(rec.latency());
         if (obs_ != nullptr && obs_->enabled()) {
           record_query(service, rec, platform);
         }
@@ -205,7 +205,8 @@ void AmoebaRuntime::on_sample() {
     // observed-latency backstop stays quiet until the window is dense
     // enough that one outlier cannot cross it alone.
     if (rt.period_latencies.size() >= 21) {
-      input.observed_p95 = rt.period_latencies.quantile(0.95);
+      input.observed_p95 =
+          stats::percentile_inplace(rt.period_latencies, 0.95);
     }
     rt.period_latencies.clear();
 
@@ -284,7 +285,10 @@ void AmoebaRuntime::record_decision(const std::string& name,
         // where it landed.
         (void)queueing::eq5_lambda(n, ev->mu, qos, r, 200,
                                    &dr.lambda_iterates);
-        if (input.load_qps > 0.0 &&
+        // The prediction models the serverless M/M/N, so an IaaS tick,
+        // whose observed tail comes from the VMs, gets none.
+        if (controller_.mode(name) == DeployMode::kServerless &&
+            input.load_qps > 0.0 &&
             queueing::rho(input.load_qps, n, ev->mu) < 1.0) {
           dr.predicted_p95_s =
               queueing::latency_quantile(input.load_qps, n, ev->mu, r);

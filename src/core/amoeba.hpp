@@ -122,7 +122,9 @@ class AmoebaRuntime {
   struct ServiceRt {
     workload::FunctionProfile profile;
     stats::RateEstimator load;
-    stats::SampleSet period_latencies;  ///< user latencies since last tick
+    /// User latencies since the last tick; the tick selects their p95 in
+    /// place and clears them.
+    std::vector<double> period_latencies;
     ServiceTimeline timeline;
     double prev_tick_load = 0.0;  ///< for the load-trend forecast
     bool has_prev_load = false;

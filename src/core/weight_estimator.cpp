@@ -29,6 +29,15 @@ void WeightEstimator::observe(const Features& predicted,
   AMOEBA_EXPECTS(observed_latency > 0.0);
   for (double v : predicted) AMOEBA_EXPECTS(v >= 0.0);
   if (ys_.size() == 2 * cfg_.max_samples) {
+    // The compaction below moves rows an unread refit point still needs:
+    // keep that window as it is now.
+    if (pending_ && !pending_copied_) {
+      const double* x = xs_.data() + pending_head_ * kNumResources;
+      const double* y = ys_.data() + pending_head_;
+      pending_xs_.assign(x, x + pending_rows_ * kNumResources);
+      pending_ys_.assign(y, y + pending_rows_);
+      pending_copied_ = true;
+    }
     xs_.erase(xs_.begin(),
               xs_.begin() + static_cast<std::ptrdiff_t>(head_ * kNumResources));
     ys_.erase(ys_.begin(), ys_.begin() + static_cast<std::ptrdiff_t>(head_));
@@ -41,21 +50,34 @@ void WeightEstimator::observe(const Features& predicted,
   AMOEBA_INVARIANT(samples() <= cfg_.max_samples &&
                    ys_.size() <= 2 * cfg_.max_samples);
   ++since_refit_;
-  maybe_refit();
+  maybe_mark_refit();
 }
 
-void WeightEstimator::maybe_refit() {
+void WeightEstimator::maybe_mark_refit() {
   if (!cfg_.enable_pca) return;
   const std::size_t n = samples();
   if (n < cfg_.min_samples) return;
-  if (model_.has_value() && since_refit_ < cfg_.refit_interval) return;
+  if (calibrated() && since_refit_ < cfg_.refit_interval) return;
   since_refit_ = 0;
-
-  const linalg::MatrixView x(xs_.data() + head_ * kNumResources, n,
-                             kNumResources);
-  model_ = linalg::fit_pcr(x, std::span<const double>(ys_).subspan(head_),
-                           cfg_.min_explained, cfg_.ridge);
+  pending_ = true;
+  pending_copied_ = false;
+  pending_head_ = head_;
+  pending_rows_ = n;
   ++refits_;
+}
+
+void WeightEstimator::fit_pending() const {
+  if (!pending_) return;
+  const double* x = pending_copied_
+                        ? pending_xs_.data()
+                        : xs_.data() + pending_head_ * kNumResources;
+  const double* y =
+      pending_copied_ ? pending_ys_.data() : ys_.data() + pending_head_;
+  model_ = linalg::fit_pcr(linalg::MatrixView(x, pending_rows_, kNumResources),
+                           std::span<const double>(y, pending_rows_),
+                           cfg_.min_explained, cfg_.ridge);
+  pending_ = false;
+  ++fits_;
 }
 
 double WeightEstimator::accumulate_prediction(const Features& f) const {
@@ -69,7 +91,8 @@ double WeightEstimator::accumulate_prediction(const Features& f) const {
 
 double WeightEstimator::predict_service_time(const Features& raw) const {
   const Features f = clamped(raw);
-  if (!model_.has_value()) return accumulate_prediction(f);
+  if (!calibrated()) return accumulate_prediction(f);
+  fit_pending();
   double p = model_->predict(f);
   // If any surface hit the cap, the operating point is outside the
   // calibrated regime: take the pessimistic max of the regression and the
@@ -99,7 +122,8 @@ double WeightEstimator::mu(const Features& f) const {
 
 std::optional<std::array<double, kNumResources>> WeightEstimator::weights()
     const {
-  if (!model_.has_value()) return std::nullopt;
+  if (!calibrated()) return std::nullopt;
+  fit_pending();
   const auto beta = model_->raw_coefficients();
   AMOEBA_ASSERT(beta.size() == kNumResources);
   std::array<double, kNumResources> w{};

@@ -13,6 +13,14 @@
 // Amoeba-NoM ablation: degradations on every resource are assumed to
 // accumulate, which over-predicts latency and postpones profitable
 // switches (paper Fig. 14/15).
+//
+// The fit is computed on read. observe() only marks refit points; the
+// first read after one (mu, predict_service_time, weights) fits that
+// point's window, so every read sees the model an eager refit at each
+// point would have left, bit for bit. The controller observes every
+// heartbeat but reads once per sample period, so most refit points are
+// never fitted. An estimator belongs to one control loop on one thread:
+// its const reads update the cached model.
 #pragma once
 
 #include <array>
@@ -42,7 +50,8 @@ struct WeightEstimatorConfig {
   /// regardless. 0 = no clamp. The controller defaults this to 4x the
   /// service's QoS target.
   double feature_cap_s = 0.0;
-  /// Refit at most every `refit_interval` new samples (amortizes the PCR).
+  /// A refit point falls every `refit_interval` new samples once the
+  /// window is primed. A read fits the latest point's window, once.
   std::size_t refit_interval = 8;
 };
 
@@ -64,19 +73,24 @@ class WeightEstimator {
   /// μ_n = 1 / predict_service_time (Eq. 6).
   [[nodiscard]] double mu(const Features& predicted) const;
 
-  /// Current weights; empty optional until a PCR fit has happened.
+  /// Current weights; empty optional until the first refit point.
   [[nodiscard]] std::optional<std::array<double, kNumResources>> weights()
       const;
 
-  [[nodiscard]] bool calibrated() const noexcept { return model_.has_value(); }
+  [[nodiscard]] bool calibrated() const noexcept { return refits_ > 0; }
   [[nodiscard]] std::size_t samples() const noexcept {
     return ys_.size() - head_;
   }
+  /// Refit points passed: the fits an eager estimator would have run.
   [[nodiscard]] std::size_t refits() const noexcept { return refits_; }
+  /// PCR fits actually computed (at most one per refit point).
+  [[nodiscard]] std::size_t fits() const noexcept { return fits_; }
   [[nodiscard]] double solo_latency() const noexcept { return l0_; }
 
  private:
-  void maybe_refit();
+  void maybe_mark_refit();
+  /// Fit the window of the latest refit point unless a read already has.
+  void fit_pending() const;
   [[nodiscard]] double accumulate_prediction(const Features& f) const;
   [[nodiscard]] Features clamped(const Features& f) const;
 
@@ -92,9 +106,19 @@ class WeightEstimator {
   std::vector<double> xs_;
   std::vector<double> ys_;
   std::size_t head_ = 0;
-  std::optional<linalg::PcrModel> model_;
+  // The latest refit point's window when no read has fitted it yet: rows
+  // [pending_head_, pending_head_ + pending_rows_) of xs_/ys_, or all of
+  // pending_xs_/pending_ys_ once a compaction was about to move them.
+  mutable bool pending_ = false;
+  bool pending_copied_ = false;
+  std::size_t pending_head_ = 0;
+  std::size_t pending_rows_ = 0;
+  std::vector<double> pending_xs_;
+  std::vector<double> pending_ys_;
+  mutable std::optional<linalg::PcrModel> model_;
   std::size_t since_refit_ = 0;
   std::size_t refits_ = 0;
+  mutable std::size_t fits_ = 0;
 };
 
 }  // namespace amoeba::core

@@ -7,8 +7,12 @@
 // a two-peak (morning/evening rush) day, optionally with multiplicative
 // noise and bursts, compressed to an arbitrary simulated period so full-day
 // experiments finish in seconds.
+//
+// A trace is owned by one run and read from that run's thread only:
+// rate() memoises the last noise interval's factor in place.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -57,6 +61,12 @@ class DiurnalTrace {
   DiurnalTraceConfig cfg_;
   std::uint64_t noise_seed_;
   double noise_cap_;
+  // The last (interval index -> factor) pair. Thinning asks for the same
+  // interval many times in a row, and the factor is a pure function of the
+  // index, so the memo can never be stale.
+  mutable bool memo_valid_ = false;
+  mutable std::uint64_t memo_interval_ = 0;
+  mutable double memo_factor_ = 1.0;
 };
 
 }  // namespace amoeba::workload

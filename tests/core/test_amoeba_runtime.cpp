@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 
+#include "core/queueing.hpp"
 #include "obs/exporters.hpp"
 #include "obs/json.hpp"
 #include "workload/load_generator.hpp"
@@ -320,6 +323,50 @@ TEST(AmoebaRuntime, ObservabilityRecordsDecisionsAndSpans) {
   EXPECT_TRUE(obs::parse_json(trace_os.str()).has_value());
   obs::write_summary(observer, summary_os);
   EXPECT_NE(summary_os.str().find("decisions"), std::string::npos);
+}
+
+TEST(AmoebaRuntime, PredictedP95OnlyOnServerlessTicks) {
+  obs::Observer observer{obs::ObsConfig{}};
+  auto cfg = runtime_config();
+  cfg.observer = &observer;
+  Fixture f(cfg, /*max_containers=*/4);
+  f.runtime.start();
+  auto gen = std::make_unique<workload::ConstantLoadGenerator>(
+      f.engine, sim::Rng(6), 4.0, [&] {
+        f.runtime.submit("svc", [](const workload::QueryRecord&) {});
+      });
+  gen->start();
+  f.engine.schedule(60.0, [&] { gen->set_rate(80.0); });  // force a swing
+  f.engine.run_until(140.0);
+  gen->stop();
+  f.runtime.stop();
+
+  // The prediction is the serverless M/M/N's p95. An IaaS tick's observed
+  // tail comes from the VMs, so it gets no prediction to be judged by.
+  const double r = f.runtime.controller().config().qos_percentile;
+  std::size_t iaas_ticks = 0, serverless_predictions = 0;
+  for (const auto& rec : observer.audit().records()) {
+    if (!rec.lambda_max.has_value() || rec.mu <= 0.0) continue;
+    if (rec.platform == "iaas") {
+      ++iaas_ticks;
+      EXPECT_FALSE(rec.predicted_p95_s.has_value()) << "t=" << rec.time_s;
+      continue;
+    }
+    ASSERT_EQ(rec.platform, "serverless");
+    if (rec.load_qps <= 0.0 ||
+        queueing::rho(rec.load_qps, rec.n_containers, rec.mu) >= 1.0) {
+      continue;
+    }
+    ASSERT_TRUE(rec.predicted_p95_s.has_value()) << "t=" << rec.time_s;
+    ++serverless_predictions;
+    // Same expression, same bits as before the gate.
+    const double want =
+        queueing::latency_quantile(rec.load_qps, rec.n_containers, rec.mu, r);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*rec.predicted_p95_s),
+              std::bit_cast<std::uint64_t>(want));
+  }
+  EXPECT_GT(iaas_ticks, 0u);
+  EXPECT_GT(serverless_predictions, 0u);
 }
 
 TEST(AmoebaRuntime, DisabledObserverRecordsNothing) {

@@ -129,6 +129,33 @@ TEST(WeightEstimator, RefitIntervalAmortizesFitting) {
   EXPECT_GE(est.refits(), 5u);
 }
 
+TEST(WeightEstimator, FitsOnlyWhenRead) {
+  WeightEstimator est(pca_config(), kL0, 0.0);
+  sim::Rng rng(7);
+  auto observe = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      Features f = {kL0 + rng.uniform() * 0.1, kL0 + rng.uniform() * 0.01,
+                    kL0};
+      est.observe(f, f[0]);
+    }
+  };
+  observe(200);
+  EXPECT_TRUE(est.calibrated());
+  EXPECT_GT(est.refits(), 1u);
+  EXPECT_EQ(est.fits(), 0u);
+  const Features probe = {0.15, 0.11, kL0};
+  const double first = est.predict_service_time(probe);
+  EXPECT_EQ(est.fits(), 1u);
+  // Further reads reuse the fit until the next refit point.
+  EXPECT_EQ(est.predict_service_time(probe), first);
+  (void)est.weights();
+  (void)est.mu(probe);
+  EXPECT_EQ(est.fits(), 1u);
+  observe(static_cast<int>(pca_config().refit_interval));
+  (void)est.weights();
+  EXPECT_EQ(est.fits(), 2u);
+}
+
 TEST(WeightEstimator, FeatureCapClampsSentinels) {
   auto cfg = pca_config();
   cfg.feature_cap_s = 1.0;

@@ -186,6 +186,8 @@ void drive(const EstimatorCase& c, std::uint64_t seed,
   }
   EXPECT_GT(est.samples(), 0u);
   EXPECT_EQ(est.samples(), cfg.max_samples);  // eviction was exercised
+  // A read after every observe fits every refit point, once.
+  EXPECT_EQ(est.fits(), est.refits());
 }
 
 TEST(PcrOracle, WeightEstimatorMatchesDequeReferenceAfterEveryObserve) {
@@ -207,6 +209,113 @@ TEST(PcrOracle, WeightEstimatorMatchesDequeReferenceAfterEveryObserve) {
     }
   }
   for (std::size_t k = 1; k <= 3; ++k) EXPECT_TRUE(retained_seen.count(k)) << k;
+}
+
+/// Drives the lazy estimator and the eager reference with the same
+/// observations, reading only at seeded sparse steps. Every read must see
+/// the model the eager refit left at the latest refit point, bit for bit.
+/// Returns the number of reads whose latest refit point predates a buffer
+/// compaction that happened since, so the lazy window had to outlive it.
+std::size_t drive_sparse(const core::WeightEstimatorConfig& cfg, Shape shape,
+                         std::uint64_t seed) {
+  using core::Features;
+  constexpr double kL0 = 0.1;
+  core::WeightEstimator est(cfg, kL0, 0.01);
+  reference::WeightEstimator ref(cfg, kL0, 0.01);
+  shape.cap = 0.0;  // the estimators clamp
+
+  // The estimator compacts its buffers on the observe that finds them
+  // holding 2 * max_samples rows: steps 2M, 3M, 4M, ...
+  const std::size_t m = cfg.max_samples;
+  auto compacts_at = [m](std::size_t t) { return t >= 2 * m && t % m == 0; };
+
+  sim::Rng rng(seed);
+  const std::size_t total = 4 * m + 40;
+  std::size_t next_read = rng.uniform_index(41);
+  std::size_t reads = 0, across_compaction = 0;
+  std::size_t last_refit_t = 0, last_read_t = 0;
+  bool compacted_since_refit = false;
+  for (std::size_t t = 0; t < total; ++t) {
+    const auto row = draw_row(rng, core::kNumResources, shape);
+    const Features f{row[0], row[1], row[2]};
+    const double y =
+        kL0 + 0.6 * row[0] + 0.3 * row[1] + 0.1 * row[2] + rng.uniform(0, 0.02);
+    if (compacts_at(t)) compacted_since_refit = true;
+    const std::size_t refits_before = ref.refits();
+    est.observe(f, y);
+    ref.observe(f, y);
+    if (ref.refits() != refits_before) {
+      last_refit_t = t;
+      compacted_since_refit = false;
+    }
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " t=" + std::to_string(t));
+    // Counters and the window are not reads.
+    EXPECT_EQ(est.samples(), ref.samples());
+    EXPECT_EQ(est.refits(), ref.refits());
+    EXPECT_EQ(est.calibrated(), ref.model().has_value());
+
+    // Read right after each compaction; otherwise skip to the next seeded
+    // read, sometimes further off than refit_interval.
+    if (t != next_read && !compacts_at(t)) continue;
+    if (ref.refits() > 0 && compacted_since_refit &&
+        (reads == 0 || last_refit_t > last_read_t))
+      ++across_compaction;
+    ++reads;
+    last_read_t = t;
+    next_read = t + 1 + rng.uniform_index(3 * cfg.refit_interval + 21);
+
+    const auto w = est.weights();
+    const auto w_ref = ref.weights();
+    EXPECT_EQ(w.has_value(), w_ref.has_value());
+    if (w.has_value() && w_ref.has_value()) {
+      for (std::size_t i = 0; i < core::kNumResources; ++i)
+        EXPECT_TRUE(same_bits((*w)[i], (*w_ref)[i])) << "weight " << i;
+    }
+    const Features fixed{0.3, 0.8, 1.7};
+    const Features saturated{5.0, 0.2, 0.4};
+    for (const Features& probe : {f, fixed, saturated}) {
+      const double want = ref.predict_service_time(probe);
+      EXPECT_TRUE(same_bits(est.predict_service_time(probe), want));
+      EXPECT_TRUE(same_bits(est.mu(probe), 1.0 / want));
+    }
+    EXPECT_LE(est.fits(), reads);
+    if (::testing::Test::HasFailure()) return across_compaction;
+  }
+  EXPECT_LE(est.fits(), reads);
+  EXPECT_LE(est.fits(), est.refits());
+  if (!cfg.enable_pca) {
+    EXPECT_EQ(est.fits(), 0u);
+  }
+  return across_compaction;
+}
+
+TEST(PcrOracle, LazyFitMatchesEagerReferenceAtSparseReads) {
+  std::uint64_t seed = 500;
+  for (bool pca : {true, false}) {
+    for (std::size_t interval : {1u, 8u}) {
+      std::size_t across_compaction = 0;
+      for (int variant = 0; variant < 3; ++variant) {
+        core::WeightEstimatorConfig cfg;
+        cfg.enable_pca = pca;
+        cfg.refit_interval = interval;
+        cfg.max_samples = 64 + 32 * static_cast<std::size_t>(variant);
+        cfg.feature_cap_s = variant == 2 ? 1.0 : 0.0;
+        Shape shape;
+        shape.latents = 1 + static_cast<std::size_t>(variant);
+        shape.constant_column = variant == 1;
+        SCOPED_TRACE("pca=" + std::to_string(pca) + " interval=" +
+                     std::to_string(interval) + " variant=" +
+                     std::to_string(variant));
+        across_compaction += drive_sparse(cfg, shape, seed++);
+        if (HasFailure()) return;
+      }
+      // With interval 8 a refit point usually falls a few steps before a
+      // compaction, and the read right after it must use the old window.
+      if (pca && interval == 8) {
+        EXPECT_GT(across_compaction, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "sim/random.hpp"
 
 namespace amoeba::stats {
@@ -53,6 +58,35 @@ TEST(SampleSet, QuantileMatchesFreeFunction) {
   }
   for (double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
     EXPECT_DOUBLE_EQ(s.quantile(q), percentile(v, q)) << "q=" << q;
+  }
+}
+
+// The runtime's per-tick p95 selects in place (nth_element) where
+// SampleSet sorts a copy. Both must give the same bits: the observed p95
+// feeds the controller's backstop and every trace downstream.
+TEST(SampleSet, InPlaceTickP95MatchesSortedQuantileBitForBit) {
+  sim::Rng rng(2024);
+  std::vector<std::size_t> sizes = {21, 22, 40, 41, 100, 101, 4095, 4096};
+  for (int i = 0; i < 40; ++i) sizes.push_back(21 + rng.uniform_index(4076));
+  for (std::size_t n : sizes) {
+    for (int ties = 0; ties < 3; ++ties) {
+      SampleSet set;
+      std::vector<double> window;
+      for (std::size_t i = 0; i < n; ++i) {
+        double x = rng.lognormal_mean_cv(0.2, 0.8);
+        // 1: latencies on a coarse 10 ms grid, so ranks tie often;
+        // 2: a handful of distinct values, so the p95 ranks tie too.
+        if (ties == 1) x = std::round(x * 100.0) / 100.0;
+        if (ties == 2) x = 0.05 * static_cast<double>(rng.uniform_index(4));
+        set.add(x);
+        window.push_back(x);
+      }
+      const double want = set.quantile(0.95);
+      const double got = percentile_inplace(window, 0.95);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "n=" << n << " ties=" << ties;
+    }
   }
 }
 

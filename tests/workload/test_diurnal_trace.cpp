@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "sim/random.hpp"
 
 namespace amoeba::workload {
 namespace {
@@ -82,6 +89,45 @@ TEST(DiurnalTrace, NoiseIsDeterministicPerSeed) {
   DiurnalTrace a(cfg, 11), b(cfg, 11), c(cfg, 12);
   EXPECT_DOUBLE_EQ(a.rate(123.0), b.rate(123.0));
   EXPECT_NE(a.rate(123.0), c.rate(123.0));
+}
+
+TEST(DiurnalTrace, NoiseMemoNeverServesAStaleInterval) {
+  auto cfg = base_config();
+  cfg.noise_cv = 0.4;
+  cfg.noise_interval_s = 0.3;  // not a binary fraction: inexact boundaries
+  constexpr std::uint64_t kSeed = 19;
+  // A fresh trace has no memo, so its rate is the unmemoised value.
+  auto fresh = [&](double t) { return DiurnalTrace(cfg, kSeed).rate(t); };
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  // Interval boundaries, exactly and one ulp either side of them.
+  std::vector<double> times;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int k = 0; k < 40; ++k) {
+    const double b = (k * 37 % 200) * cfg.noise_interval_s;
+    times.push_back(b);
+    times.push_back(std::nextafter(b, -inf));
+    times.push_back(std::nextafter(b, inf));
+  }
+  // Neighbouring intervals really differ, so a stale factor would show.
+  std::size_t steps_across = 0;
+  for (std::size_t i = 0; i < times.size(); i += 3) {
+    if (fresh(times[i + 1]) != fresh(times[i + 2])) ++steps_across;
+  }
+  EXPECT_GE(steps_across, 20u);
+
+  // Replay them forwards, backwards, repeated and shuffled on one trace.
+  std::vector<double> order = times;
+  order.insert(order.end(), times.rbegin(), times.rend());
+  for (double t : times) order.insert(order.end(), {t, t});
+  sim::Rng rng(3);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    order.push_back(times[rng.uniform_index(times.size())]);
+  }
+  DiurnalTrace trace(cfg, kSeed);
+  for (double t : order) {
+    EXPECT_EQ(bits(trace.rate(t)), bits(fresh(t))) << "t=" << t;
+  }
 }
 
 TEST(DiurnalTrace, ConfigValidation) {
