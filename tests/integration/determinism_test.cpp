@@ -143,6 +143,9 @@ TEST(Determinism, ObservabilityDoesNotPerturbTheSimulation) {
   EXPECT_EQ(plain.queries, observed.queries);
   // ...and the observer did record the run it watched.
   EXPECT_FALSE(observer.audit().empty());
+  for (const auto& rec : observer.audit().records()) {
+    EXPECT_EQ(rec.stage, -1) << rec.service;
+  }
   EXPECT_FALSE(observer.tracer().events().empty());
   EXPECT_FALSE(observer.metrics().snapshots().empty());
   EXPECT_EQ(observer.tracer().open_spans(), 0u);
@@ -202,6 +205,40 @@ TEST(Determinism, ProfilerDoesNotPerturbClusterRuns) {
               hash_double(profiled.services[i].p95()));
   }
   EXPECT_GT(profiler.report().attributed_s(), 0.0);
+}
+
+TEST(Determinism, ObservabilityDoesNotPerturbClusterRuns) {
+  // The N=4 cluster with an observer attached: same event trace, and every
+  // decision is audited as a standalone service (no call-graph stage).
+  const auto& s = setup();
+  std::vector<ClusterServiceSpec> specs;
+  for (int i = 0; i < 4; ++i) {
+    specs.push_back(ClusterServiceSpec{
+        workload::as_tenant(s.foreground, i, 0.4), s.artifacts,
+        static_cast<double>(i) / 4.0});
+  }
+  ClusterRunOptions opt;
+  opt.period_s = 240.0;
+  opt.duration_days = 1.0;
+  opt.warmup_s = 40.0;
+  opt.seed = 42;
+  const auto plain = run_cluster(specs, s.cluster, s.calibration, opt);
+  obs::Observer observer{obs::ObsConfig{}};
+  opt.observer = &observer;
+  const auto observed = run_cluster(specs, s.cluster, s.calibration, opt);
+  EXPECT_EQ(plain.trace_hash, observed.trace_hash)
+      << "observing a cluster run changed the executed event trace";
+  ASSERT_EQ(plain.services.size(), observed.services.size());
+  for (std::size_t i = 0; i < plain.services.size(); ++i) {
+    EXPECT_EQ(plain.services[i].queries, observed.services[i].queries);
+  }
+  ASSERT_FALSE(observer.audit().empty());
+  for (const auto& rec : observer.audit().records()) {
+    EXPECT_EQ(rec.stage, -1) << rec.service;
+    EXPECT_NE(find_tenant(observed.services, rec.service), nullptr)
+        << rec.service;
+  }
+  EXPECT_EQ(observer.tracer().open_spans(), 0u);
 }
 
 TEST(Determinism, FaultInjectedRunsAreSeedStable) {
@@ -544,6 +581,58 @@ TEST(Determinism, CallGraphRunMatchesPinnedAnchor) {
   EXPECT_EQ(r.trace_hash, 0x1254abd56cceaf81ULL);
   EXPECT_EQ(hash_double(r.e2e_p95()), 0x3fd7258decd08400ULL);
   EXPECT_EQ(hash_double(r.total_core_hours()), 0x3ffe0ea197c0e5b8ULL);
+}
+
+TEST(Determinism, NaiveCallGraphRunMatchesPinnedAnchor) {
+  // The golden DAG under fixed equal budgets: the renorm-free mode fig18's
+  // naive run and every one-stage cluster component share.
+  const auto& s = setup();
+  const workload::CallGraph g = golden_dag(s);
+  const std::vector<core::ServiceArtifacts> artifacts(
+      static_cast<std::size_t>(g.size()), s.artifacts);
+  auto opt = callgraph_options(g, 42);
+  opt.budget_mode = BudgetMode::kNaiveEqual;
+  const auto r = run_callgraph(g, artifacts, s.cluster, s.calibration, opt);
+  EXPECT_EQ(r.trace_hash, 0x274d2e7c362c308cULL);
+  EXPECT_EQ(hash_double(r.e2e_p95()), 0x3fd7246383f820cdULL);
+  EXPECT_EQ(hash_double(r.total_core_hours()), 0x3ffe2d6f83710648ULL);
+  const std::uint64_t p95_bits[] = {
+      0x3fc1c968bafdb419ULL, 0x3fb7c8994ba98f33ULL, 0x3fbf99d40f5b7400ULL,
+      0x3fbee352f55c44cdULL};
+  ASSERT_EQ(r.stages.size(), 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(hash_double(r.stages[k].p95()), p95_bits[k])
+        << r.stages[k].name;
+  }
+}
+
+TEST(Determinism, FaultInjectedClusterAndCallGraphRunsMatchPinnedAnchors) {
+  // The FaultInjectedClusterAndCallGraphRunsAreSeedStable configurations.
+  const auto& s = setup();
+  std::vector<ClusterServiceSpec> specs;
+  for (int i = 0; i < 4; ++i) {
+    specs.push_back(ClusterServiceSpec{
+        workload::as_tenant(s.foreground, i, 0.4), s.artifacts,
+        static_cast<double>(i) / 4.0});
+  }
+  ClusterRunOptions copt;
+  copt.period_s = 240.0;
+  copt.warmup_s = 40.0;
+  copt.faults = test_faults();
+  const auto c = run_cluster(specs, s.cluster, s.calibration, copt);
+  EXPECT_EQ(c.trace_hash, 0xc4f340c4c73af34fULL);
+  EXPECT_EQ(hash_double(c.total_core_hours()), 0x3ffcc0fd3c406e27ULL);
+  EXPECT_EQ(c.fault_counters.total(), 533u);
+
+  const workload::CallGraph g = golden_dag(s);
+  const std::vector<core::ServiceArtifacts> artifacts(
+      static_cast<std::size_t>(g.size()), s.artifacts);
+  auto gopt = callgraph_options(g, 42);
+  gopt.faults = test_faults();
+  const auto r = run_callgraph(g, artifacts, s.cluster, s.calibration, gopt);
+  EXPECT_EQ(r.trace_hash, 0xb6a6ea7c9f62ae5fULL);
+  EXPECT_EQ(hash_double(r.total_core_hours()), 0x3ffe6ecb544447a8ULL);
+  EXPECT_EQ(r.fault_counters.total(), 521u);
 }
 
 TEST(Determinism, ControlLoopTraceDivergesUnderDifferentSeed) {
