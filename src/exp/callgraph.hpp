@@ -10,6 +10,8 @@
 // Each stage is a per-stage AmoebaRuntime (its own monitor, controller and
 // engine) over the ONE shared serverless platform, IaaS platform and event
 // engine — the cluster coupling, plus the query-flow coupling on top.
+// `run_callgraph` is a thin wrapper over exp::run_node (node.hpp): the
+// graph is the node's one component, its stages named "<base>@s<k>".
 //
 // Budget decomposition closes the end-to-end loop: in kEndToEndAware mode
 // a core::BudgetDecomposer splits the SLO into per-stage budgets
@@ -33,25 +35,16 @@
 #include <string>
 #include <vector>
 
-#include "core/budget_decomposer.hpp"
 #include "exp/scenario.hpp"
 #include "exp/table.hpp"
 #include "workload/call_graph.hpp"
 
 namespace amoeba::exp {
 
-/// How the end-to-end QoS target decomposes into per-stage budgets.
-enum class BudgetMode : std::uint8_t {
-  kNaiveEqual,     ///< fixed T / max_path_stages per stage
-  kEndToEndAware,  ///< critical-path-weighted, renormalized from p95s
-};
-
-[[nodiscard]] const char* to_string(BudgetMode m) noexcept;
-
 /// The observer, when set, also sees the stage index on every
 /// DecisionRecord and end-to-end query lifecycles as async spans on
 /// "callgraph/e2e".
-struct CallGraphRunOptions : NodeRunOptions {
+struct CallGraphRunOptions : CoTenantRunOptions {
   /// End-to-end p95 latency target for the whole DAG (required, > 0).
   double e2e_qos_target_s = 0.0;
   BudgetMode budget_mode = BudgetMode::kEndToEndAware;
@@ -59,9 +52,6 @@ struct CallGraphRunOptions : NodeRunOptions {
   /// profile peak. Every stage sees this traffic (one invocation per
   /// query per stage), so per-stage provisioning uses it too.
   double root_peak_qps = 0.0;
-  /// Same shared-node knobs as ClusterRunOptions.
-  int node_container_budget = 128;
-  int meter_reserve_containers = 15;
 };
 
 /// Per-stage outcome, in canonical stage order; `name` is the canonical

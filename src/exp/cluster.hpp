@@ -12,7 +12,12 @@
 // serverless raises your measured pressure, which can flip your switch:
 // exactly the coupling where naive per-service controllers oscillate.
 //
-// Shared-pool admission arbitration (exp::Node::admit): the node-wide
+// `run_cluster` wraps exp::run_node (node.hpp): each tenant is a one-stage
+// component with its own phase-offset stream, its profile's name and its
+// profile's qos_target_s as a fixed budget, which must clear the 1.25x
+// feasibility floor (every FunctionBench tenant does).
+//
+// Shared-pool admission arbitration (exp::run_node): the node-wide
 // container budget (the paper's n_max of 128 at 256 MB per container in a
 // 32 GB pool) is split across services with core::split_container_budget —
 // every service keeps at least one container, the rest goes proportionally
@@ -41,14 +46,8 @@ struct ClusterServiceSpec {
   double phase = 0.0;
 };
 
-struct ClusterRunOptions : NodeRunOptions {
-  /// Node-wide container budget (Table II: 32 GB pool / 256 MB = 128).
-  int node_container_budget = 128;
-  /// Containers withheld from the service split for the three contention
-  /// meters (divided equally; at least 1 per meter). Meters are registered
-  /// with this as their per-function n_max before any runtime starts.
-  int meter_reserve_containers = 15;
-};
+/// Settings of a cluster run: the shared-node knobs, nothing more.
+struct ClusterRunOptions : CoTenantRunOptions {};
 
 /// Per-tenant outcome of a cluster run.
 struct ClusterServiceResult : TenantResult {

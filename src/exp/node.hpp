@@ -1,17 +1,20 @@
-// The shared node behind every run driver (paper §VII-A).
+// The shared node and the one co-tenant run driver (paper §VII-A).
 //
 // The simulated cluster mirrors Table II: one 40-core / 25 GbE / NVMe node
 // hosts the shared serverless platform, a second node hosts the IaaS VMs,
 // and the load generator + controller + monitor run "off to the side"
 // (they cost nothing in the simulation, matching the paper's third node).
 //
-// `Node` builds that setup once for run_managed, run_cluster and
-// run_callgraph: profiler attach + harness scope, the event engine, the
-// run rng, both platforms and the optional FaultInjector, plus the
-// post-run roll-up. The co-tenant half (admit / start_tenant) is what
-// run_cluster and run_callgraph share on top: the meter reserve, the
-// just-enough asks and the split_container_budget grants, and one
-// AmoebaRuntime per tenant with the co-tenant tuning.
+// `Node` builds that setup once for run_managed and run_node: profiler
+// attach + harness scope, the event engine, the run rng, both platforms,
+// the optional FaultInjector, the load streams (diurnal trace + Poisson
+// generator) and the post-run roll-up.
+//
+// `run_node` is the one co-tenant driver. Its spec is an ordered list of
+// components, each a DAG of managed stages behind one diurnal stream: a
+// cluster is N one-stage components, a call graph is one component. It
+// adds the meter reserve, the just-enough asks, the split_container_budget
+// grants, one AmoebaRuntime per stage and one AND-join query router.
 //
 // Fixed rules, shared by every co-tenant run:
 //   * a tenant asks for one container per core of its just-enough VM, so it
@@ -19,12 +22,20 @@
 //   * co-tenant monitors probe at min(kMeterProbeQps, 4/N) per meter, so N
 //     monitors' combined probing stays an N-independent ~4 QPS per meter;
 //   * co-tenant switch margins are 0.50/0.70 (solo runs use 0.60/0.80);
-//   * co-tenant runtimes sample no timelines.
+//   * co-tenant runtimes sample no timelines;
+//   * a stage sample counts post-warmup iff its query's root injection
+//     time is >= warmup_s;
+//   * tenants are numbered in component order (run rng fork 1000 + i);
+//     component c's stream uses trace seed seed ^ (0x51 + c) and rng fork
+//     2000 + c; every tenant starts before any renorm tick or load start
+//     is scheduled.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/amoeba.hpp"
@@ -32,7 +43,10 @@
 #include "obs/profiler.hpp"
 #include "serverless/platform.hpp"
 #include "stats/percentile.hpp"
+#include "workload/call_graph.hpp"
+#include "workload/diurnal_trace.hpp"
 #include "workload/function_profile.hpp"
+#include "workload/load_generator.hpp"
 
 namespace amoeba::exp {
 
@@ -79,6 +93,16 @@ struct NodeRunOptions {
   /// attaches one FaultInjector (run rng fork 4) to the container pool, the
   /// VM fleet and every contention monitor.
   sim::FaultConfig faults;
+};
+
+/// Settings of every co-tenant run (cluster tenants, call-graph stages).
+struct CoTenantRunOptions : NodeRunOptions {
+  /// Node-wide container budget (Table II: 32 GB pool / 256 MB = 128).
+  int node_container_budget = 128;
+  /// Containers withheld from the tenant split for the three contention
+  /// meters (divided equally; at least 1 per meter). Meters are registered
+  /// with this as their per-function n_max before any runtime starts.
+  int meter_reserve_containers = 15;
 };
 
 /// Event-loop facts every run reports.
@@ -161,43 +185,27 @@ class Node {
   [[nodiscard]] iaas::IaasPlatform& iaas_platform() { return ip_; }
   [[nodiscard]] sim::FaultInjector* faults() const { return faults_.get(); }
   [[nodiscard]] double duration_s() const { return duration_s_; }
-  /// When tenant load starts: after the IaaS VMs could have booted, inside
-  /// warmup, so no query arrives before its platform exists.
-  [[nodiscard]] double load_start_s() const { return load_start_s_; }
 
-  /// Co-tenant admission: registers the three meters first, each capped at
-  /// its share of `meter_reserve_containers` (so tenant prewarms can never
-  /// starve probing), sizes each tenant's just-enough VM and splits the
-  /// rest of `node_container_budget` with core::split_container_budget.
-  void admit(std::vector<workload::FunctionProfile> profiles,
-             int node_container_budget, int meter_reserve_containers);
-  /// The tuning every co-tenant runtime starts from (see the file comment).
-  [[nodiscard]] core::AmoebaConfig co_tenant_config() const;
-  /// Creates and starts the runtime of the next admitted tenant i, in
-  /// admission order (run rng fork 1000 + i).
-  core::AmoebaRuntime& start_tenant(const core::ServiceArtifacts& artifacts,
-                                    const core::MeterCalibration& calibration,
-                                    const core::AmoebaConfig& cfg);
-  [[nodiscard]] core::AmoebaRuntime& tenant(std::size_t i) {
-    return *tenants_.at(i);
-  }
+  /// Adds a load stream: a diurnal trace (noise seed `trace_seed`) driving
+  /// a Poisson generator on run rng fork `rng_fork`. Returns its index.
+  std::size_t add_load(const workload::DiurnalTraceConfig& cfg,
+                       std::uint64_t trace_seed, std::uint64_t rng_fork,
+                       workload::ArrivalFn on_arrival);
+  /// Starts load `i` now.
+  void start_load(std::size_t i);
+  /// Schedules load `i` to start after the IaaS VMs could have booted,
+  /// inside warmup, so no query arrives before its platform exists.
+  void schedule_load_start(std::size_t i);
 
-  /// Runs the event loop to the end of the day.
-  void run() { engine_.run_until(duration_s_); }
-  void stop_tenants();
+  /// Runs the event loop to the end of the day, then stops every load.
+  void run();
 
   /// Post-run roll-up.
   void roll_up(NodeRunStats& out) const;
-  void roll_up(NodeTotals& out);
-  /// Fills tenant `i`'s shared fields (except latencies) and adds its usage
-  /// and denied prewarms into `totals`.
-  void roll_up_tenant(std::size_t i, TenantResult& out, NodeTotals& totals);
 
  private:
   obs::ProfilerAttach prof_attach_;  // first in, last out
   obs::ProfScope harness_scope_;
-  ClusterConfig cluster_;
-  obs::Observer* observer_;
   double duration_s_;
   double load_start_s_;
   sim::Engine engine_;
@@ -205,11 +213,103 @@ class Node {
   serverless::ServerlessPlatform sp_;
   iaas::IaasPlatform ip_;
   std::unique_ptr<sim::FaultInjector> faults_;
-  std::vector<workload::FunctionProfile> profiles_;
-  std::vector<iaas::VmSpec> vm_specs_;
-  std::vector<int> asks_;
-  std::vector<int> grants_;
-  std::vector<std::unique_ptr<core::AmoebaRuntime>> tenants_;
+  std::vector<std::unique_ptr<workload::DiurnalTrace>> traces_;
+  std::vector<std::unique_ptr<workload::PoissonLoadGenerator>> generators_;
+};
+
+/// How a component's end-to-end QoS target decomposes into stage budgets.
+enum class BudgetMode : std::uint8_t {
+  kNaiveEqual,     ///< fixed T / max_path_stages per stage
+  kEndToEndAware,  ///< critical-path-weighted, renormalized from p95s
+};
+
+[[nodiscard]] const char* to_string(BudgetMode m) noexcept;
+
+/// One component of a node run: a DAG of managed stages behind one
+/// diurnal stream and one end-to-end QoS target.
+struct NodeComponent {
+  workload::CallGraph graph;
+  /// Profiled artifacts of each stage in canonical order (non-owning).
+  std::span<const core::ServiceArtifacts> artifacts;
+  double e2e_qos_target_s = 0.0;  ///< required, > 0
+  BudgetMode budget_mode = BudgetMode::kNaiveEqual;
+  /// Peak arrival rate at the roots; 0 = the first root stage's profile
+  /// peak. Every stage sees this traffic, so it is provisioned for it.
+  double root_peak_qps = 0.0;
+  double phase = 0.0;  ///< diurnal phase offset of the stream, in [0, 1)
+  /// A call graph names stage k "<base>@s<k>", audits it as stage k and
+  /// keeps the end-to-end ledger (in-flight queries, e2e latencies and
+  /// the "callgraph/e2e" spans). A plain tenant has one stage, keeps its
+  /// profile name (names order the container pool's maps), audits stage
+  /// -1 and records only its stage latencies.
+  bool call_graph = true;
+};
+
+/// Per-stage outcome of a node run.
+struct StageResult : TenantResult {
+  double initial_budget_s = 0.0;  ///< applied at setup (after clamping)
+  double final_budget_s = 0.0;    ///< applied after the last renorm tick
+  std::uint64_t submitted = 0;    ///< queries entering the stage (all)
+  std::uint64_t finished = 0;     ///< stage completions (all)
+  std::vector<core::SwitchEvent> switches;
+};
+
+/// Per-component outcome of a node run. Query conservation holds exactly:
+/// root_injected == queries_completed + queries_unfinished.
+struct ComponentResult {
+  std::vector<StageResult> stages;  ///< canonical stage order
+  stats::SampleSet e2e_latencies;   ///< call graphs only, post-warmup
+  std::uint64_t root_injected = 0;
+  std::uint64_t queries_completed = 0;
+  std::uint64_t queries_unfinished = 0;
+};
+
+struct NodeRunResult : NodeTotals {
+  std::vector<ComponentResult> components;
+};
+
+/// Run every component on one shared node. Fixed budget rules: a stage's
+/// applied budget is clamped to [1.25 x its ideal solo IaaS latency, T];
+/// that floor must lie below T, so a one-stage naive component gets
+/// exactly its profile's qos_target_s. In kEndToEndAware mode a
+/// core::BudgetDecomposer renormalizes the budgets every 5 s (the monitor
+/// sample period) from each stage's p95 over the completions since the
+/// last tick, once that window holds 12 of them.
+[[nodiscard]] NodeRunResult run_node(
+    const std::vector<NodeComponent>& components,
+    const ClusterConfig& cluster, const core::MeterCalibration& calibration,
+    const CoTenantRunOptions& opt);
+
+/// Writer of the fig17/fig18 summary-JSON objects: `{"key": value, ...}`
+/// in call order, numbers via obs::json_number.
+class SummaryJson {
+ public:
+  /// `json` is inserted verbatim (a number, a quoted string, an array).
+  SummaryJson& raw(std::string_view key, std::string_view json);
+  SummaryJson& num(std::string_view key, double v);
+  SummaryJson& str(std::string_view key, std::string_view v);
+  /// The co-tenant node totals: total_core_hours, total_memory_gb_hours,
+  /// peak_pool_containers.
+  SummaryJson& totals(const NodeTotals& r);
+  /// The per-tenant tail: switches, switch_aborts, switch_retries,
+  /// prewarm_denied, n_max_asked, n_max_granted, core_seconds,
+  /// memory_mb_seconds.
+  SummaryJson& tenant(const TenantResult& t, std::size_t switches);
+  [[nodiscard]] std::string close() { return out_ + "}"; }
+
+  /// `"key": [a, b, ...]` of `object_of(item)` over `items`.
+  template <class Range, class Fn>
+  SummaryJson& array(std::string_view key, const Range& items, Fn object_of) {
+    std::string json = "[";
+    for (const auto& item : items) {
+      if (json.size() > 1) json += ", ";
+      json += object_of(item);
+    }
+    return raw(key, json + "]");
+  }
+
+ private:
+  std::string out_ = "{";
 };
 
 }  // namespace amoeba::exp

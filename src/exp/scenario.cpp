@@ -19,34 +19,12 @@ workload::DiurnalTraceConfig diurnal_for(
   return cfg;
 }
 
-workload::QueryCompletionFn RunRecorder::observer(const std::string& service) {
-  return [this, service](const workload::QueryRecord& rec) {
-    if (rec.arrival < warmup_s_) return;
-    PerService& ps = per_service_[service];
-    ps.latencies.add(rec.latency());
-    if (keep_records_) ps.records.push_back(rec);
+workload::QueryCompletionFn RunRecorder::observer() {
+  return [this](const workload::QueryRecord& rec) {
+    if (rec.arrival < warmup_s) return;
+    latencies.add(rec.latency());
+    if (keep_records) records.push_back(rec);
   };
-}
-
-const stats::SampleSet& RunRecorder::latencies(
-    const std::string& service) const {
-  auto it = per_service_.find(service);
-  AMOEBA_EXPECTS_MSG(it != per_service_.end(),
-                     "no records for service: " + service);
-  return it->second.latencies;
-}
-
-const std::vector<workload::QueryRecord>& RunRecorder::records(
-    const std::string& service) const {
-  auto it = per_service_.find(service);
-  AMOEBA_EXPECTS_MSG(it != per_service_.end(),
-                     "no records for service: " + service);
-  return it->second.records;
-}
-
-std::uint64_t RunRecorder::count(const std::string& service) const {
-  auto it = per_service_.find(service);
-  return it == per_service_.end() ? 0 : it->second.latencies.size();
 }
 
 const char* to_string(DeploySystem s) noexcept {
@@ -96,33 +74,23 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
                              const ManagedRunOptions& opt) {
   Node node(cluster, opt);
   sim::Engine& engine = node.engine();
-  const sim::Rng& rng = node.rng();
   serverless::ServerlessPlatform& sp = node.serverless_platform();
   iaas::IaasPlatform& ip = node.iaas_platform();
   sim::FaultInjector* const faults = node.faults();
   const double duration = node.duration_s();
-  RunRecorder recorder(opt.warmup_s, opt.keep_records);
+  RunRecorder recorder{opt.warmup_s, opt.keep_records};
 
   // Background tenants live directly on the shared serverless platform.
-  std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;
-  std::vector<std::unique_ptr<workload::PoissonLoadGenerator>> generators;
   if (opt.with_background) {
     int k = 0;
     for (const auto& bg : background_suite(opt.background_peak_fraction)) {
       sp.register_function(bg);
-      auto trace = std::make_unique<workload::DiurnalTrace>(
+      node.start_load(node.add_load(
           diurnal_for(bg, opt.period_s, 0.17 * (k + 1)),
-          opt.seed ^ (0xb67u + static_cast<unsigned>(k)));
-      const std::string name = bg.name;
-      auto gen = std::make_unique<workload::PoissonLoadGenerator>(
-          engine, rng.fork(100 + static_cast<std::uint64_t>(k)),
-          [t = trace.get()](double now) { return t->rate(now); },
-          trace->max_rate(), [&sp, name] {
+          opt.seed ^ (0xb67u + static_cast<unsigned>(k)),
+          100 + static_cast<std::uint64_t>(k), [&sp, name = bg.name] {
             sp.submit(name, [](const workload::QueryRecord&) {});
-          });
-      gen->start();
-      traces.push_back(std::move(trace));
-      generators.push_back(std::move(gen));
+          }));
       ++k;
     }
   }
@@ -131,9 +99,7 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
   ManagedRunResult result;
   result.qos_target_s = foreground.qos_target_s;
 
-  auto fg_trace = std::make_unique<workload::DiurnalTrace>(
-      diurnal_for(foreground, opt.period_s), opt.seed ^ 0x51u);
-  const auto fg_observer = recorder.observer(foreground.name);
+  const auto fg_observer = recorder.observer();
 
   std::unique_ptr<core::AmoebaRuntime> runtime;
   workload::ArrivalFn fg_arrival;
@@ -181,7 +147,7 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
       if (opt.observer != nullptr) cfg.observer = opt.observer;
       cfg.fault_injector = faults;
       runtime = std::make_unique<core::AmoebaRuntime>(
-          engine, sp, ip, calibration, cfg, rng.fork(3));
+          engine, sp, ip, calibration, cfg, node.rng().fork(3));
       const auto vm_spec = just_enough_vm(foreground, cluster);
       runtime->add_service(foreground, vm_spec, artifacts,
                            solo_container_ask(vm_spec));
@@ -193,23 +159,16 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
     }
   }
 
-  auto fg_gen = std::make_unique<workload::PoissonLoadGenerator>(
-      engine, rng.fork(7), [t = fg_trace.get()](double now) { return t->rate(now); },
-      fg_trace->max_rate(), std::move(fg_arrival));
-
-  engine.schedule(node.load_start_s(), [g = fg_gen.get()] { g->start(); });
+  node.schedule_load_start(node.add_load(diurnal_for(foreground, opt.period_s),
+                                         opt.seed ^ 0x51u, 7,
+                                         std::move(fg_arrival)));
 
   node.run();
-
-  for (auto& g : generators) g->stop();
-  fg_gen->stop();
   if (runtime) runtime->stop();
 
-  if (recorder.count(fg_name) > 0) {
-    result.latencies = recorder.latencies(fg_name);
-    result.records = recorder.records(fg_name);
-  }
-  result.queries = recorder.count(fg_name);
+  result.queries = recorder.latencies.size();
+  result.latencies = std::move(recorder.latencies);
+  result.records = std::move(recorder.records);
 
   switch (system) {
     case DeploySystem::kNameko:

@@ -1,11 +1,11 @@
 // Experiment scenario builders — encodes the paper's §VII-A setup on the
 // shared node of exp/node.hpp: one foreground service under a chosen
 // deployment system, with scripted background tenants on the serverless
-// platform.
+// platform. It keeps its own body, not exp::run_node's: its baselines have
+// no control loop and its background tenants no runtime (DESIGN.md §11).
 #pragma once
 
-#include <map>
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -13,9 +13,7 @@
 #include "core/amoeba.hpp"
 #include "core/profile_data.hpp"
 #include "exp/node.hpp"
-#include "workload/diurnal_trace.hpp"
 #include "workload/functionbench.hpp"
-#include "workload/load_generator.hpp"
 
 namespace amoeba::exp {
 
@@ -25,30 +23,15 @@ namespace amoeba::exp {
     const workload::FunctionProfile& profile, double period_s,
     double phase = 0.0);
 
-/// Collects per-service user-query latencies with a warmup filter, and the
-/// full QueryRecords only when `keep_records` is set.
-class RunRecorder {
- public:
-  explicit RunRecorder(double warmup_s, bool keep_records = false)
-      : warmup_s_(warmup_s), keep_records_(keep_records) {}
+/// Collects one service's post-warmup user-query latencies, and its full
+/// QueryRecords only when `keep_records` is set.
+struct RunRecorder {
+  double warmup_s = 0.0;
+  bool keep_records = false;
+  stats::SampleSet latencies = {};
+  std::vector<workload::QueryRecord> records = {};
 
-  [[nodiscard]] workload::QueryCompletionFn observer(
-      const std::string& service);
-
-  [[nodiscard]] const stats::SampleSet& latencies(
-      const std::string& service) const;
-  [[nodiscard]] const std::vector<workload::QueryRecord>& records(
-      const std::string& service) const;
-  [[nodiscard]] std::uint64_t count(const std::string& service) const;
-
- private:
-  struct PerService {
-    stats::SampleSet latencies;
-    std::vector<workload::QueryRecord> records;
-  };
-  double warmup_s_;
-  bool keep_records_;
-  std::map<std::string, PerService> per_service_;
+  [[nodiscard]] workload::QueryCompletionFn observer();
 };
 
 /// Which deployment system manages the foreground benchmark.

@@ -71,8 +71,8 @@ TEST(RunRecorder, FiltersWarmupAndAggregates) {
   // Same two queries with and without record keeping: the count and the
   // latencies agree, and only the keeping recorder stores QueryRecords.
   for (const bool keep : {true, false}) {
-    RunRecorder rec(10.0, keep);
-    auto obs = rec.observer("svc");
+    RunRecorder rec{10.0, keep};
+    auto obs = rec.observer();
     workload::QueryRecord r;
     r.function = "svc";
     r.arrival = 5.0;
@@ -81,10 +81,9 @@ TEST(RunRecorder, FiltersWarmupAndAggregates) {
     r.arrival = 15.0;
     r.completion = 15.2;
     obs(r);
-    EXPECT_EQ(rec.count("svc"), 1u) << keep;
-    EXPECT_NEAR(rec.latencies("svc").mean(), 0.2, 1e-12) << keep;
-    EXPECT_EQ(rec.records("svc").size(), keep ? 1u : 0u);
-    EXPECT_EQ(rec.count("other"), 0u) << keep;
+    EXPECT_EQ(rec.latencies.size(), 1u) << keep;
+    EXPECT_NEAR(rec.latencies.mean(), 0.2, 1e-12) << keep;
+    EXPECT_EQ(rec.records.size(), keep ? 1u : 0u);
   }
 }
 
